@@ -52,11 +52,20 @@ inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
+/// A bench's own command-line flags. BenchReporter passes each one (with
+/// its value, for `values`) through positional() for the bench to parse,
+/// and rejects every other `--` argument.
+struct BenchFlags {
+  std::vector<std::string> values = {};    ///< flags that take one value
+  std::vector<std::string> switches = {};  ///< flags that take none
+  std::string positional = {};             ///< usage text for positional args
+};
+
 /// \brief Uniform bench reporting: one MetricsRegistry per bench binary,
 /// exported as a JSON snapshot on exit, plus an optional Chrome trace.
 ///
-/// Flags consumed from argv (remaining arguments are exposed through
-/// positional()):
+/// Flags consumed from argv (remaining arguments, and the bench's own
+/// flags named in BenchFlags, are exposed through positional()):
 ///   --metrics PATH     snapshot destination (default: <name>.metrics.json)
 ///   --trace PATH       record simulator events as Chrome trace_event JSON
 ///   --breakdown PATH   record request spans and write the critical-path
@@ -70,38 +79,68 @@ inline void PrintHeader(const std::string& title) {
 ///                      (the recorder itself is always on; crash-site
 ///                      AutoDumps also land in PATH instead of stderr)
 ///
+/// Any other `--` argument, a value flag given without its value, or a
+/// malformed --ts-interval-us prints usage and exits with status 2.
+///
 /// Device counters accumulate across every run the bench performs; per-run
 /// headline numbers go in as `bench.<name>.*` gauges via SetResult(), so
 /// the snapshot carries both the raw device view and the figure's table.
 class BenchReporter {
  public:
-  BenchReporter(int argc, char** argv, const std::string& name)
+  BenchReporter(int argc, char** argv, const std::string& name,
+                BenchFlags bench_flags = {})
       : name_(name), metrics_path_(name + ".metrics.json") {
+    auto fail = [&](const std::string& error) {
+      UsageExit(argv[0], bench_flags, error);
+    };
+    auto value = [&](int* i) -> std::string {
+      if (*i + 1 >= argc) fail(std::string(argv[*i]) + " needs a value");
+      return argv[++*i];
+    };
+    auto listed = [](const std::vector<std::string>& flags,
+                     const std::string& arg) {
+      for (const std::string& flag : flags) {
+        if (flag == arg) return true;
+      }
+      return false;
+    };
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg == "--metrics" && i + 1 < argc) {
-        metrics_path_ = argv[++i];
-      } else if (arg == "--trace" && i + 1 < argc) {
-        trace_path_ = argv[++i];
+      if (arg == "--metrics") {
+        metrics_path_ = value(&i);
+      } else if (arg == "--trace") {
+        trace_path_ = value(&i);
         trace_ = std::make_unique<obs::ChromeTraceWriter>();
-      } else if (arg == "--breakdown" && i + 1 < argc) {
-        breakdown_path_ = argv[++i];
-      } else if (arg == "--timeseries" && i + 1 < argc) {
-        timeseries_path_ = argv[++i];
-      } else if (arg == "--ts-interval-us" && i + 1 < argc) {
-        ts_interval_us_ = std::strtoull(argv[++i], nullptr, 10);
-        if (ts_interval_us_ == 0) ts_interval_us_ = 1000;
-      } else if (arg == "--slo" && i + 1 < argc) {
-        std::string path = argv[++i];
+      } else if (arg == "--breakdown") {
+        breakdown_path_ = value(&i);
+      } else if (arg == "--timeseries") {
+        timeseries_path_ = value(&i);
+      } else if (arg == "--ts-interval-us") {
+        std::string text = value(&i);
+        ts_interval_us_ = std::strtoull(text.c_str(), nullptr, 10);
+        if (text.find_first_not_of("0123456789") != std::string::npos ||
+            ts_interval_us_ == 0) {
+          fail("--ts-interval-us needs a positive integer, got '" + text +
+               "'");
+        }
+      } else if (arg == "--slo") {
+        std::string path = value(&i);
         Status status = LoadSloFile(path);
         if (!status.ok()) {
           std::fprintf(stderr, "--slo %s: %s\n", path.c_str(),
                        status.ToString().c_str());
           flag_error_ = true;
         }
-      } else if (arg == "--flightrec" && i + 1 < argc) {
-        flightrec_path_ = argv[++i];
+      } else if (arg == "--flightrec") {
+        flightrec_path_ = value(&i);
         flightrec_.set_dump_path(flightrec_path_);
+      } else if (listed(bench_flags.values, arg)) {
+        positional_.push_back(arg);
+        positional_.push_back(value(&i));
+      } else if (listed(bench_flags.switches, arg)) {
+        positional_.push_back(std::move(arg));
+      } else if (arg.rfind("--", 0) == 0) {
+        fail("unknown flag " + arg);
       } else {
         positional_.push_back(std::move(arg));
       }
@@ -310,6 +349,25 @@ class BenchReporter {
     std::unique_ptr<obs::SloWatchdog> watchdog;
     std::unique_ptr<obs::TimeSeriesSampler> sampler;
   };
+
+  [[noreturn]] static void UsageExit(const char* argv0,
+                                     const BenchFlags& bench_flags,
+                                     const std::string& error) {
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--metrics PATH] [--trace PATH] "
+                 "[--breakdown PATH] [--timeseries PATH] "
+                 "[--ts-interval-us N] [--slo PATH] [--flightrec PATH]",
+                 argv0, error.c_str(), argv0);
+    for (const std::string& flag : bench_flags.values) {
+      std::fprintf(stderr, " [%s V]", flag.c_str());
+    }
+    for (const std::string& flag : bench_flags.switches) {
+      std::fprintf(stderr, " [%s]", flag.c_str());
+    }
+    std::fprintf(stderr, "%s%s\n", bench_flags.positional.empty() ? "" : " ",
+                 bench_flags.positional.c_str());
+    std::exit(2);
+  }
 
   Status LoadSloFile(const std::string& path) {
     std::ifstream in(path);

@@ -62,7 +62,10 @@ void PrintResult(uint64_t seed, const check::CheckResult& result) {
 }  // namespace
 
 int Main(int argc, char** argv) {
-  bench::BenchReporter reporter(argc, argv, "check_campaign");
+  bench::BenchFlags flags;
+  flags.values = {"--seed", "--runs", "--ops", "--dump-dir", "--replay"};
+  flags.switches = {"--shrink", "--plant-bug"};
+  bench::BenchReporter reporter(argc, argv, "check_campaign", flags);
 
   uint64_t first_seed = 1;
   size_t runs = 100;

@@ -285,7 +285,8 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "fault_campaign");
+  bench::BenchReporter reporter(argc, argv, "fault_campaign",
+                               {.values = {"--plan", "--seed"}});
 
   std::string plan_arg = "flash-fail";
   uint64_t seed = 1;

@@ -13,8 +13,11 @@
 // ~300 ktxn/s CPU ceiling; NVMe latency sits well above the PM-class
 // methods; DRAM-backed CMB shows back-pressure at 8 workers.
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -124,10 +127,22 @@ RunResult RunOne(Method method, uint32_t workers, sim::SimTime measure,
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "fig09");
+  bench::BenchReporter reporter(argc, argv, "fig09",
+                               {.positional = "[measure_ms]"});
   sim::SimTime measure = sim::Ms(400);
-  if (!reporter.positional().empty()) {
-    measure = sim::Ms(std::atoi(reporter.positional()[0].c_str()));
+  const std::vector<std::string>& args = reporter.positional();
+  if (!args.empty()) {
+    const std::string& text = args[0];
+    uint64_t ms = std::strtoull(text.c_str(), nullptr, 10);
+    if (args.size() > 1 || ms == 0 ||
+        text.find_first_not_of("0123456789") != std::string::npos) {
+      std::fprintf(stderr,
+                   "usage: fig09_local_logging [measure_ms] "
+                   "[--metrics out.json]\n  measure_ms must be a positive "
+                   "integer\n");
+      return 2;
+    }
+    measure = sim::Ms(ms);
   }
 
   bench::PrintHeader("Figure 9: logging to local storage (TPC-C, 16 WH)");

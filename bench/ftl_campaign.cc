@@ -334,7 +334,8 @@ int RunCrash(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "ftl_campaign");
+  bench::BenchReporter reporter(argc, argv, "ftl_campaign",
+                               {.values = {"--seed", "--p99-bound-us"}});
 
   uint64_t seed = 1;
   double p99_bound_us = 5000.0;

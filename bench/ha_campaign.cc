@@ -470,7 +470,8 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "ha_campaign");
+  bench::BenchReporter reporter(argc, argv, "ha_campaign",
+                               {.values = {"--plan", "--seed"}});
   if (reporter.sampling_enabled()) {
     // Split-brain sentinel, one rule per member: any window where a
     // device's term fence rejects ring writes is worth an alert — after a

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "core/page_format.h"
 #include "db/log_record.h"
 #include "ftl/mapping.h"
@@ -28,6 +29,13 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleRun);
 
+// Sizes: OOB record (24 B), log-record header (29 B), small, 4 KiB block,
+// 16 KiB destage page.
+void CrcSizes(benchmark::internal::Benchmark* b) {
+  for (int64_t size : {24, 29, 64, 4096, 16384}) b->Arg(size);
+}
+
+// The dispatched entry point (the SSE4.2 kernel where the CPU has it).
 void BM_Crc32c(benchmark::State& state) {
   std::vector<uint8_t> data(state.range(0), 0x5A);
   for (auto _ : state) {
@@ -35,7 +43,19 @@ void BM_Crc32c(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_Crc32c)->Apply(CrcSizes);
+
+// The slicing-by-8 fallback, run directly so its speed is visible on CPUs
+// that would never pick it.
+void BM_Crc32cPortable(benchmark::State& state) {
+  std::vector<uint8_t> data(state.range(0), 0x5A);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crc32_internal::Crc32cPortable(data.data(), data.size(), 0));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32cPortable)->Apply(CrcSizes);
 
 void BM_TlpEncodeDecode(benchmark::State& state) {
   pcie::Tlp tlp;

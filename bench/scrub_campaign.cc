@@ -366,7 +366,8 @@ int RunPriority(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
 
 int main(int argc, char** argv) {
   using namespace xssd;
-  bench::BenchReporter reporter(argc, argv, "scrub_campaign");
+  bench::BenchReporter reporter(argc, argv, "scrub_campaign",
+                               {.values = {"--seed"}});
 
   uint64_t seed = 1;
   const std::vector<std::string>& args = reporter.positional();

@@ -51,10 +51,13 @@ Result<LogRecord> ParseLogRecord(const std::vector<uint8_t>& data,
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, p + 25, 4);
 
-  // Recompute with the CRC field zeroed.
-  std::vector<uint8_t> image(p, p + LogRecord::kHeaderBytes + len);
-  std::memset(image.data() + 25, 0, 4);
-  uint32_t crc = Crc32c(image.data(), image.size());
+  // Recompute in place as if the CRC field were zero: the bytes before it,
+  // four zero bytes, then the payload (the CRC ends the header), chained
+  // through the seed.
+  static constexpr uint8_t kZeroCrc[4] = {};
+  uint32_t crc = Crc32c(p, 25);
+  crc = Crc32c(kZeroCrc, sizeof(kZeroCrc), crc);
+  crc = Crc32c(p + LogRecord::kHeaderBytes, len, crc);
   if (crc != stored_crc) {
     return Status::Corruption("log record CRC mismatch");
   }

@@ -42,6 +42,34 @@ TEST(LogRecordWire, CorruptionDetected) {
   EXPECT_TRUE(ParseLogRecord(wire, &offset).status().IsCorruption());
 }
 
+TEST(LogRecordWire, EmptyAndLargePayloadsRoundTripAndRejectFlips) {
+  for (size_t payload_len : {size_t{0}, size_t{4096}}) {
+    SCOPED_TRACE(payload_len);
+    LogRecord record = MakeRecord(9, payload_len);
+    std::vector<uint8_t> wire;
+    SerializeLogRecord(record, &wire);
+    size_t offset = 0;
+    Result<LogRecord> parsed = ParseLogRecord(wire, &offset);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->payload, record.payload);
+    EXPECT_EQ(offset, wire.size());
+
+    // One flipped byte in the CRC field itself ([25, 29)).
+    std::vector<uint8_t> bad_crc = wire;
+    bad_crc[27] ^= 0x01;
+    offset = 0;
+    EXPECT_TRUE(ParseLogRecord(bad_crc, &offset).status().IsCorruption());
+
+    // One flipped header byte, and for a non-empty record a payload byte.
+    std::vector<uint8_t> bad_body = wire;
+    size_t victim =
+        payload_len == 0 ? 3 : LogRecord::kHeaderBytes + payload_len - 1;
+    bad_body[victim] ^= 0x80;
+    offset = 0;
+    EXPECT_TRUE(ParseLogRecord(bad_body, &offset).status().IsCorruption());
+  }
+}
+
 TEST(LogRecordWire, TornTailStopsCleanly) {
   std::vector<uint8_t> wire;
   SerializeLogRecord(MakeRecord(1, 40), &wire);
