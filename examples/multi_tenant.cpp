@@ -1,14 +1,15 @@
 // Multi-tenant X-SSD (paper §7.2): a hyperscaler packs two virtual
 // databases onto one device. The CMB is segmented into independent
-// partitions — each tenant gets its own PM ring, credit counter, and
-// destage ring on the shared conventional side — and an unmodified client
-// simply points at its partition's base address.
+// partitions (VillarsConfig::extra_partitions) — each tenant gets its own
+// PM ring, credit counter, and destage ring on the shared conventional
+// side — and an unmodified client simply points at its partition's base
+// address.
 //
 // Build & run:   ./build/examples/multi_tenant
 
 #include <cstdio>
 
-#include "core/partitioned_device.h"
+#include "core/villars_device.h"
 #include "db/log_backend.h"
 #include "db/log_manager.h"
 #include "db/tpcc.h"
@@ -22,19 +23,19 @@ int main() {
   sim::Simulator sim;
   pcie::PcieFabric fabric(&sim, pcie::FabricConfig{}, "host");
 
-  // Two tenants: a big one with a roomy ring, a small one.
-  core::PartitionedConfig config;
-  core::PartitionConfig big, small;
-  big.cmb.ring_bytes = 128 * 1024;
-  big.destage.ring_start_lba = 0;
-  big.destage.ring_lba_count = 1024;
+  // Two tenants: a big one with a roomy ring (partition 0), a small one.
+  core::VillarsConfig config;
+  config.cmb.ring_bytes = 128 * 1024;
+  config.destage.ring_start_lba = 0;
+  config.destage.ring_lba_count = 1024;
+  core::PartitionConfig small;
   small.cmb.ring_bytes = 64 * 1024;
   small.cmb.queue_bytes = 16 * 1024;
   small.destage.ring_start_lba = 1024;
   small.destage.ring_lba_count = 512;
-  config.partitions = {big, small};
+  config.extra_partitions = {small};
 
-  core::PartitionedVillars device(&sim, &fabric, config, "mt-xssd");
+  core::VillarsDevice device(&sim, &fabric, config, "mt-xssd");
   if (!device.Attach(0xF000'0000, 0xE000'0000).ok()) return 1;
   nvme::Driver driver(&sim, &fabric, &device.controller(), 0xF000'0000);
   if (!driver.Initialize().ok()) return 1;
@@ -57,17 +58,16 @@ int main() {
   workload_a.Populate();
   workload_b.Populate();
 
-  // Start both drivers on the same simulator: truly concurrent tenants.
+  // The tenants take turns on the shared simulator. Each Run starts its
+  // own workers, pumps the simulator through warmup + measure, then stops
+  // them and drains for 50 ms — so tenant B runs alone first, and tenant A
+  // runs alone after it, against a device that already holds B's destaged
+  // log. The partitions keep the two logs, credit counters and destage
+  // rings apart either way.
   db::WorkloadDriver driver_a(&sim, &db_a, &workload_a, 4, 11);
   db::WorkloadDriver driver_b(&sim, &db_b, &workload_b, 2, 22);
-  // Interleave manually: run A's workload while B's also runs by starting
-  // both before pumping the shared simulator.
-  db::WorkloadResult result_a, result_b;
-  // WorkloadDriver::Run pumps the shared simulator; the second Run returns
-  // immediately-ish since virtual time already advanced — so run tenant B
-  // first for its warmup, then A (both sets of workers stay active).
-  result_b = driver_b.Run(sim::Ms(20), sim::Ms(200));
-  result_a = driver_a.Run(sim::Ms(20), sim::Ms(200));
+  db::WorkloadResult result_b = driver_b.Run(sim::Ms(20), sim::Ms(200));
+  db::WorkloadResult result_a = driver_a.Run(sim::Ms(20), sim::Ms(200));
 
   std::printf("tenant A: %8.0f txn/s, %7.1f us mean commit latency\n",
               result_a.txns_per_sec, result_a.latency_us.Mean());

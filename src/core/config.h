@@ -2,6 +2,7 @@
 #define XSSD_CORE_CONFIG_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/units.h"
 #include "flash/geometry.h"
@@ -120,6 +121,14 @@ struct PowerConfig {
   uint32_t supercap_page_budget = 64;
 };
 
+/// \brief One partition's slice of the fast side (paper §7.2): its own
+/// staging queue and PM ring, destage ring and replication configuration.
+struct PartitionConfig {
+  CmbConfig cmb;
+  DestageConfig destage;
+  TransportConfig transport;
+};
+
 /// \brief Full Villars device configuration.
 struct VillarsConfig {
   flash::Geometry geometry;
@@ -128,9 +137,14 @@ struct VillarsConfig {
   ftl::FtlConfig ftl;
   /// Patrol scrubber (off by default — see ScrubConfig::enabled).
   ftl::ScrubConfig scrub;
+  /// Partition 0's fast side.
   CmbConfig cmb;
   DestageConfig destage;
   TransportConfig transport;
+  /// Partitions 1..N-1 (empty: a single-partition device). Each sits on
+  /// the shared conventional side with a destage ring disjoint from all
+  /// others; see VillarsDevice for the BAR layout.
+  std::vector<PartitionConfig> extra_partitions;
   PowerConfig power;
   ftl::SchedulingPolicy scheduling = ftl::SchedulingPolicy::kNeutral;
   uint64_t seed = 42;

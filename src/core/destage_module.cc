@@ -68,6 +68,7 @@ void DestageModule::Pump() {
     // Re-checked inside the loop: a crash point firing in EmitPage may
     // freeze the module from under us.
     if (frozen_) return;
+    if (stats_.pages_written + inflight_ >= page_limit_) return;
     uint64_t limit = std::min(credit_seen_, barrier_);
     uint64_t pending = limit > destage_cursor_ ? limit - destage_cursor_ : 0;
     if (pending == 0) return;
@@ -260,8 +261,8 @@ void DestageModule::IssuePage(uint64_t lba, std::vector<uint8_t> page,
       });
 }
 
-void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
-                                           std::function<void()> done) {
+void DestageModule::DestageAllForPowerLoss(
+    uint32_t page_budget, std::function<void(uint32_t pages)> done) {
   frozen_ = false;
   // Temporarily lift the latency threshold and barrier: on power loss the
   // device flushes everything persisted, immediately.
@@ -271,11 +272,11 @@ void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
   barrier_ = ~0ull;
 
   uint64_t pages_before = stats_.pages_written;
+  page_limit_ = pages_before + page_budget;
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, page_budget, pages_before, saved_threshold, saved_barrier,
+  *poll = [this, pages_before, saved_threshold, saved_barrier,
            done = std::move(done), poll]() mutable {
-    bool budget_left =
-        stats_.pages_written - pages_before + inflight_ < page_budget;
+    bool budget_left = stats_.pages_written + inflight_ < page_limit_;
     // Also done when everything was issued and nothing is in flight —
     // destaged_ can be pinned below credit when completion accounting was
     // lost to a crash point, and no further progress is possible then.
@@ -288,14 +289,20 @@ void DestageModule::DestageAllForPowerLoss(uint32_t page_budget,
       }
       config_.latency_threshold = saved_threshold;
       barrier_ = saved_barrier;
+      page_limit_ = ~0ull;
       frozen_ = true;  // device halts after the emergency destage
-      done();
+      // Break the poll <-> closure reference cycle; this call runs on a
+      // copy, so clearing the shared closure does not destroy it.
+      *poll = nullptr;
+      done(static_cast<uint32_t>(stats_.pages_written + inflight_ -
+                                 pages_before));
       return;
     }
     Pump();
     sim_->Schedule(sim::Us(5), *poll);
   };
-  (*poll)();
+  std::function<void()> first = *poll;
+  first();
 }
 
 }  // namespace xssd::core

@@ -66,10 +66,12 @@ class DestageModule {
 
   /// Crash protocol step 2 (paper §4.1): destage everything persisted
   /// (stopping at the credit, which by construction stops at the first
-  /// gap), bounded by the supercap energy budget in pages. `done` fires
-  /// when the ring is fully drained or the budget is exhausted.
+  /// gap), bounded by the supercap energy budget in pages: pages still in
+  /// flight at the call plus pages issued after it never exceed
+  /// `page_budget`. `done(pages)` fires when the ring is fully drained or
+  /// the budget is exhausted, with the pages charged to the budget.
   void DestageAllForPowerLoss(uint32_t page_budget,
-                              std::function<void()> done);
+                              std::function<void(uint32_t pages)> done);
 
   /// Freeze/unfreeze (used during power-loss handling to stop the normal
   /// background loop).
@@ -172,6 +174,9 @@ class DestageModule {
   uint64_t destage_cursor_ = 0;  ///< issued (may be ahead of destaged_)
   uint64_t next_sequence_ = 0;
   uint64_t barrier_ = ~0ull;
+  /// Power-loss energy cap: Pump issues no page once pages_written +
+  /// inflight_ reaches it (~0 outside DestageAllForPowerLoss).
+  uint64_t page_limit_ = ~0ull;
   uint32_t inflight_ = 0;
   bool timer_armed_ = false;
   bool frozen_ = false;

@@ -1,7 +1,9 @@
 #include "core/validate.h"
 
 #include <string>
+#include <vector>
 
+#include "core/page_format.h"
 #include "core/registers.h"
 
 namespace xssd::core {
@@ -82,31 +84,19 @@ Status ValidateFtl(const ftl::FtlConfig& ftl) {
 Status ValidateConfig(const VillarsConfig& config) {
   XSSD_RETURN_IF_ERROR(ValidateGeometry(config.geometry));
   XSSD_RETURN_IF_ERROR(ValidateFtl(config.ftl));
-  XSSD_RETURN_IF_ERROR(ValidateFastSide(config.cmb, config.destage,
-                                        config.geometry, config.ftl,
-                                        "fast side"));
-  if (config.power.supercap_page_budget == 0) {
-    return Status::InvalidArgument("supercap budget cannot destage anything");
-  }
-  return Status::OK();
-}
-
-Status ValidateConfig(const PartitionedConfig& config) {
-  XSSD_RETURN_IF_ERROR(ValidateGeometry(config.geometry));
-  XSSD_RETURN_IF_ERROR(ValidateFtl(config.ftl));
-  if (config.partitions.empty()) {
-    return Status::InvalidArgument("need at least one partition");
-  }
-  for (size_t i = 0; i < config.partitions.size(); ++i) {
+  std::vector<PartitionConfig> partitions = {
+      {config.cmb, config.destage, config.transport}};
+  partitions.insert(partitions.end(), config.extra_partitions.begin(),
+                    config.extra_partitions.end());
+  for (size_t i = 0; i < partitions.size(); ++i) {
     XSSD_RETURN_IF_ERROR(ValidateFastSide(
-        config.partitions[i].cmb, config.partitions[i].destage,
-        config.geometry, config.ftl,
-        "partition " + std::to_string(i)));
+        partitions[i].cmb, partitions[i].destage, config.geometry, config.ftl,
+        i == 0 ? std::string("fast side") : "partition " + std::to_string(i)));
   }
-  for (size_t i = 0; i < config.partitions.size(); ++i) {
-    for (size_t j = i + 1; j < config.partitions.size(); ++j) {
-      const DestageConfig& a = config.partitions[i].destage;
-      const DestageConfig& b = config.partitions[j].destage;
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    for (size_t j = i + 1; j < partitions.size(); ++j) {
+      const DestageConfig& a = partitions[i].destage;
+      const DestageConfig& b = partitions[j].destage;
       bool disjoint =
           a.ring_start_lba + a.ring_lba_count <= b.ring_start_lba ||
           b.ring_start_lba + b.ring_lba_count <= a.ring_start_lba;
@@ -116,6 +106,9 @@ Status ValidateConfig(const PartitionedConfig& config) {
             " have overlapping destage rings");
       }
     }
+  }
+  if (config.power.supercap_page_budget == 0) {
+    return Status::InvalidArgument("supercap budget cannot destage anything");
   }
   return Status::OK();
 }

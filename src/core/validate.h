@@ -1,19 +1,17 @@
 #ifndef XSSD_CORE_VALIDATE_H_
 #define XSSD_CORE_VALIDATE_H_
 
+#include "common/status.h"
 #include "core/config.h"
-#include "core/partitioned_device.h"
 
 namespace xssd::core {
 
 /// Sanity-check a device configuration before construction: geometry,
-/// memory rates, ring/queue relationships, and the destage ring's fit
-/// inside the logical address space. Returns the first violation found.
+/// memory rates, and per partition the ring/queue relationships and the
+/// destage ring's fit inside the logical address space, plus pairwise
+/// disjointness of the partitions' destage rings. Returns the first
+/// violation found.
 Status ValidateConfig(const VillarsConfig& config);
-
-/// Multi-tenant variant: everything above per partition, plus pairwise
-/// disjointness of the tenants' destage rings.
-Status ValidateConfig(const PartitionedConfig& config);
 
 }  // namespace xssd::core
 

@@ -1,5 +1,6 @@
 #include "core/villars_device.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -23,35 +24,82 @@ VillarsDevice::VillarsDevice(sim::Simulator* sim, pcie::PcieFabric* fabric,
   scrubber_->Start();  // no-op unless config_.scrub.enabled
   controller_ = std::make_unique<nvme::Controller>(sim_, fabric_, ftl_.get(),
                                                    name_ + "/nvme");
-  cmb_ = std::make_unique<CmbModule>(sim_, config_.cmb);
-  destage_ = std::make_unique<DestageModule>(sim_, ftl_.get(), cmb_.get(),
-                                             config_.destage, epoch_);
-  transport_ =
-      std::make_unique<TransportModule>(sim_, fabric_, config_.transport);
-  transport_->set_ring_bytes(config_.cmb.ring_bytes);
-  WireHooks();
-}
 
-VillarsDevice::~VillarsDevice() = default;
+  partitions_.reserve(1 + config_.extra_partitions.size());
+  auto add_partition = [this](const PartitionConfig& pc) {
+    size_t index = partitions_.size();
+    Partition& p = partitions_.emplace_back();
+    p.config = pc;
+    p.bar_offset = cmb_bar_bytes_;
+    p.bar_bytes =
+        kCtrlPageBytes + pc.cmb.ring_bytes * (1 + pc.cmb.peer_intake_slots);
+    if (index > 0) p.tag = "part" + std::to_string(index);
+    p.cmb = std::make_unique<CmbModule>(sim_, pc.cmb);
+    p.destage = std::make_unique<DestageModule>(sim_, ftl_.get(), p.cmb.get(),
+                                                pc.destage, p.epoch);
+    p.transport =
+        std::make_unique<TransportModule>(sim_, fabric_, pc.transport);
+    p.transport->set_ring_bytes(pc.cmb.ring_bytes);
+    WireHooks(p);
+    cmb_bar_bytes_ += p.bar_bytes;
+  };
+  add_partition({config_.cmb, config_.destage, config_.transport});
+  for (const PartitionConfig& pc : config_.extra_partitions) {
+    add_partition(pc);
+  }
 
-void VillarsDevice::WireHooks() {
-  cmb_->SetCreditHook([this](uint64_t credit) {
-    destage_->OnCreditAdvance(credit);
-    transport_->OnLocalCredit(credit);
-  });
-  cmb_->SetArrivalHook(
-      [this](uint64_t stream_offset, const uint8_t* data, size_t len) {
-        transport_->OnCmbArrival(stream_offset, data, len);
-      });
-  transport_->SetRingReader(
-      [this](uint64_t stream_offset, uint8_t* out, size_t len) {
-        cmb_->CopyOut(stream_offset, out, len);
-      });
+  // Partitions share the conventional side: their destage rings must not
+  // overlap.
+  for (size_t i = 0; i < partitions_.size(); ++i) {
+    for (size_t j = i + 1; j < partitions_.size(); ++j) {
+      const DestageConfig& a = partitions_[i].config.destage;
+      const DestageConfig& b = partitions_[j].config.destage;
+      XSSD_CHECK(a.ring_start_lba + a.ring_lba_count <= b.ring_start_lba ||
+                 b.ring_start_lba + b.ring_lba_count <= a.ring_start_lba);
+    }
+  }
+
   controller_->SetVendorHandler(
       [this](const nvme::Command& cmd,
              std::function<void(nvme::Completion)> done) {
         HandleVendorAdmin(cmd, std::move(done));
       });
+}
+
+VillarsDevice::~VillarsDevice() = default;
+
+void VillarsDevice::WireHooks(Partition& p) {
+  Partition* part = &p;
+  p.cmb->SetCreditHook([part](uint64_t credit) {
+    part->destage->OnCreditAdvance(credit);
+    part->transport->OnLocalCredit(credit);
+  });
+  p.cmb->SetArrivalHook(
+      [part](uint64_t stream_offset, const uint8_t* data, size_t len) {
+        part->transport->OnCmbArrival(stream_offset, data, len);
+      });
+  p.transport->SetRingReader(
+      [part](uint64_t stream_offset, uint8_t* out, size_t len) {
+        part->cmb->CopyOut(stream_offset, out, len);
+      });
+}
+
+void VillarsDevice::RestartDestage(Partition& p) {
+  p.destage = std::make_unique<DestageModule>(sim_, ftl_.get(), p.cmb.get(),
+                                              p.config.destage, p.epoch);
+  if (metrics_registry_ != nullptr) {
+    p.destage->SetMetrics(metrics_registry_, p.MetricsPrefix(metrics_prefix_));
+  }
+  if (injector_ != nullptr) {
+    p.destage->SetFaultInjector(injector_, p.Under(name_) + "/");
+  }
+  if (spans_ != nullptr) {
+    p.destage->SetSpans(spans_, p.Under(span_node_tag_));
+  }
+  if (flightrec_ != nullptr) {
+    p.destage->SetFlightRecorder(flightrec_, p.Under(name_));
+  }
+  WireHooks(p);
 }
 
 void VillarsDevice::EnableMetrics(obs::MetricsRegistry* registry,
@@ -62,26 +110,34 @@ void VillarsDevice::EnableMetrics(obs::MetricsRegistry* registry,
   ftl_->SetMetrics(registry, prefix);
   scrubber_->SetMetrics(registry, prefix);
   controller_->SetMetrics(registry, prefix);
-  cmb_->SetMetrics(registry, prefix);
-  destage_->SetMetrics(registry, prefix);
-  transport_->SetMetrics(registry, prefix);
+  for (Partition& p : partitions_) {
+    std::string part_prefix = p.MetricsPrefix(prefix);
+    p.cmb->SetMetrics(registry, part_prefix);
+    p.destage->SetMetrics(registry, part_prefix);
+    p.transport->SetMetrics(registry, part_prefix);
+  }
 }
 
 void VillarsDevice::EnableSpans(obs::SpanRecorder* spans,
                                 const std::string& node_tag) {
   spans_ = spans;
   span_node_tag_ = node_tag;
-  cmb_->SetSpans(spans, node_tag);
-  destage_->SetSpans(spans, node_tag);
-  transport_->SetSpans(spans, node_tag);
+  for (Partition& p : partitions_) {
+    std::string tag = p.Under(node_tag);
+    p.cmb->SetSpans(spans, tag);
+    p.destage->SetSpans(spans, tag);
+    p.transport->SetSpans(spans, tag);
+  }
   ftl_->SetSpans(spans, node_tag);
 }
 
 void VillarsDevice::EnableFlightRecorder(obs::FlightRecorder* recorder) {
   flightrec_ = recorder;
   ftl_->SetFlightRecorder(recorder, name_);
-  destage_->SetFlightRecorder(recorder, name_);
-  transport_->SetFlightRecorder(recorder, name_);
+  for (Partition& p : partitions_) {
+    p.destage->SetFlightRecorder(recorder, p.Under(name_));
+    p.transport->SetFlightRecorder(recorder, p.Under(name_));
+  }
 }
 
 void VillarsDevice::ArmFaults(fault::FaultInjector* injector,
@@ -89,8 +145,10 @@ void VillarsDevice::ArmFaults(fault::FaultInjector* injector,
   injector_ = injector;
   array_->set_fault_injector(injector);
   controller_->set_fault_injector(injector);
-  cmb_->SetFaultInjector(injector, name_ + "/");
-  destage_->SetFaultInjector(injector, name_ + "/");
+  for (Partition& p : partitions_) {
+    p.cmb->SetFaultInjector(injector, p.Under(name_) + "/");
+    p.destage->SetFaultInjector(injector, p.Under(name_) + "/");
+  }
   ftl_->SetFaultInjector(injector, name_ + "/");
   if (injector != nullptr && install_crash_handler) {
     injector->SetCrashHandler([this](const fault::FaultSpec& spec) {
@@ -113,21 +171,30 @@ Status VillarsDevice::Attach(uint64_t bar0_base, uint64_t cmb_base) {
   return Status::OK();
 }
 
+VillarsDevice::Partition& VillarsDevice::Find(uint64_t offset) {
+  for (Partition& p : partitions_) {
+    if (offset < p.bar_offset + p.bar_bytes) return p;
+  }
+  return partitions_.back();
+}
+
 void VillarsDevice::OnMmioWrite(uint64_t offset, const uint8_t* data,
                                 size_t len) {
   if (halted_) return;
+  Partition& p = Find(offset);
+  offset -= p.bar_offset;
   if (offset >= kRingWindowOffset) {
     // Ring region: the direct host window first, then one intake alias per
     // peer slot (same ring, but writes are attributed to a member slot and
     // term-fenced — a deposed primary's stale pushes die here).
     uint64_t rel = offset - kRingWindowOffset;
-    uint64_t window = rel / config_.cmb.ring_bytes;
-    uint64_t ring_offset = rel % config_.cmb.ring_bytes;
+    uint64_t window = rel / p.config.cmb.ring_bytes;
+    uint64_t ring_offset = rel % p.config.cmb.ring_bytes;
     if (window > 0 &&
-        !transport_->AdmitRingWrite(static_cast<uint32_t>(window - 1))) {
+        !p.transport->AdmitRingWrite(static_cast<uint32_t>(window - 1))) {
       return;
     }
-    cmb_->OnRingWrite(ring_offset, data, len);
+    p.cmb->OnRingWrite(ring_offset, data, len);
     return;
   }
   // Control-page writes.
@@ -136,56 +203,60 @@ void VillarsDevice::OnMmioWrite(uint64_t offset, const uint8_t* data,
     uint64_t value = 0;
     std::memcpy(&value, data, 8);
     uint32_t index = static_cast<uint32_t>((offset - kRegShadowBase) / 8);
-    transport_->OnShadowWrite(index, value);
+    p.transport->OnShadowWrite(index, value);
     return;
   }
   if (offset == kRegDestageBarrier && len == 8) {
     uint64_t value = 0;
     std::memcpy(&value, data, 8);
-    destage_->SetBarrier(value);
+    p.destage->SetBarrier(value);
     return;
   }
   XSSD_LOG(kDebug) << name_ << ": ignored control write at offset "
                    << offset;
 }
 
-uint64_t VillarsDevice::ReadRegister(uint64_t offset) const {
+uint64_t VillarsDevice::ReadRegister(const Partition& p,
+                                     uint64_t offset) const {
+  CmbModule& cmb = *p.cmb;
+  DestageModule& destage = *p.destage;
+  TransportModule& transport = *p.transport;
   switch (offset) {
     case kRegCredit:
-      return transport_->EffectiveCredit(cmb_->local_credit());
+      return transport.EffectiveCredit(cmb.local_credit());
     case kRegLocalCredit:
-      return cmb_->local_credit();
+      return cmb.local_credit();
     case kRegQueueBytes:
-      return cmb_->queue_bytes();
+      return cmb.queue_bytes();
     case kRegRingBytes:
-      return cmb_->ring_bytes();
+      return cmb.ring_bytes();
     case kRegDestaged:
-      return destage_->destaged();
+      return destage.destaged();
     case kRegDestageStartLba:
-      return destage_->ring_start_lba();
+      return destage.ring_start_lba();
     case kRegDestageLbaCount:
-      return destage_->ring_lba_count();
+      return destage.ring_lba_count();
     case kRegTransportStatus: {
-      uint64_t word = transport_->StatusWord(cmb_->local_credit());
+      uint64_t word = transport.StatusWord(cmb.local_credit());
       if (halted_) word |= StatusBits::kHalted;
       return word;
     }
     case kRegDestageBarrier:
-      return destage_->barrier();
+      return destage.barrier();
     case kRegEpoch:
-      return epoch_;
+      return p.epoch;
     case kRegTerm:
-      return transport_->term();
+      return transport.term();
     case kRegFencedWrites:
-      return transport_->fenced_writes();
+      return transport.fenced_writes();
     default:
       if (offset >= kRegShadowBase && offset < kRegShadowBase + 8 * kMaxPeers) {
-        return transport_->shadow_counter(
+        return transport.shadow_counter(
             static_cast<uint32_t>((offset - kRegShadowBase) / 8));
       }
       if (offset >= kRegWriterTermBase &&
           offset < kRegWriterTermBase + 8 * kMaxPeers) {
-        return transport_->writer_term(
+        return transport.writer_term(
             static_cast<uint32_t>((offset - kRegWriterTermBase) / 8));
       }
       return 0;
@@ -193,19 +264,21 @@ uint64_t VillarsDevice::ReadRegister(uint64_t offset) const {
 }
 
 void VillarsDevice::OnMmioRead(uint64_t offset, uint8_t* out, size_t len) {
+  const Partition& p = Find(offset);
+  offset -= p.bar_offset;
   if (offset >= kRingWindowOffset) {
     if (halted_) {
       std::memset(out, 0, len);
       return;
     }
-    cmb_->ReadRing((offset - kRingWindowOffset) % config_.cmb.ring_bytes, out,
-                   len);
+    p.cmb->ReadRing((offset - kRingWindowOffset) % p.config.cmb.ring_bytes,
+                    out, len);
     return;
   }
   // Control registers are 8-byte aligned; serve any aligned span.
   std::memset(out, 0, len);
   uint64_t reg = offset & ~7ull;
-  uint64_t value = ReadRegister(reg);
+  uint64_t value = ReadRegister(p, reg);
   size_t shift = offset - reg;
   for (size_t i = 0; i < len && shift + i < 8; ++i) {
     out[i] = static_cast<uint8_t>(value >> (8 * (shift + i)));
@@ -224,51 +297,58 @@ void VillarsDevice::HandleVendorAdmin(
     done(cpl);
     return;
   }
+  // cdw13 selects the partition (a virtual function in SR-IOV terms).
+  if (cmd.cdw13 >= partitions_.size()) {
+    cpl.status = nvme::CmdStatus::kInvalidField;
+    done(cpl);
+    return;
+  }
+  TransportModule& transport = *partitions_[cmd.cdw13].transport;
   switch (static_cast<nvme::AdminOpcode>(cmd.opcode)) {
     case nvme::AdminOpcode::kXssdSetRole: {
       if (cmd.cdw10 > static_cast<uint32_t>(Role::kSecondary)) {
         cpl.status = nvme::CmdStatus::kInvalidField;
         break;
       }
-      transport_->SetRole(static_cast<Role>(cmd.cdw10));
+      transport.SetRole(static_cast<Role>(cmd.cdw10));
       // cdw11/cdw12: secondary's shadow mailbox address through NTB
       // (64-bit split across the dwords).
       if (static_cast<Role>(cmd.cdw10) == Role::kSecondary) {
         uint64_t addr =
             (static_cast<uint64_t>(cmd.cdw12) << 32) | cmd.cdw11;
-        transport_->ConfigureSecondary(addr);
+        transport.ConfigureSecondary(addr);
       }
       break;
     }
     case nvme::AdminOpcode::kXssdAddPeer: {
       uint64_t addr = (static_cast<uint64_t>(cmd.cdw12) << 32) | cmd.cdw11;
-      Status status = transport_->AddPeerAt(cmd.cdw10, addr);
+      Status status = transport.AddPeerAt(cmd.cdw10, addr);
       if (!status.ok()) cpl.status = nvme::CmdStatus::kInvalidField;
       break;
     }
     case nvme::AdminOpcode::kXssdRemovePeer: {
-      Status status = transport_->RemovePeer(cmd.cdw10);
+      Status status = transport.RemovePeer(cmd.cdw10);
       if (!status.ok()) cpl.status = nvme::CmdStatus::kInvalidField;
       break;
     }
     case nvme::AdminOpcode::kXssdClearPeers:
-      transport_->ClearPeers();
+      transport.ClearPeers();
       break;
     case nvme::AdminOpcode::kXssdSetTerm: {
       if (cmd.cdw11 >= kMaxPeers) {
         cpl.status = nvme::CmdStatus::kInvalidField;
         break;
       }
-      transport_->SetTerm(cmd.cdw10, cmd.cdw11);
+      transport.SetTerm(cmd.cdw10, cmd.cdw11);
       break;
     }
     case nvme::AdminOpcode::kXssdTruncate: {
       uint64_t cut = (static_cast<uint64_t>(cmd.cdw11) << 32) | cmd.cdw10;
-      TruncateLog(cut);
+      TruncateLog(cut, cmd.cdw13);
       break;
     }
     case nvme::AdminOpcode::kXssdSetUpdatePeriod:
-      transport_->set_update_period(sim::Ns(cmd.cdw10));
+      transport.set_update_period(sim::Ns(cmd.cdw10));
       break;
     case nvme::AdminOpcode::kXssdSetDestagePolicy: {
       if (cmd.cdw10 >
@@ -285,11 +365,12 @@ void VillarsDevice::HandleVendorAdmin(
         cpl.status = nvme::CmdStatus::kInvalidField;
         break;
       }
-      transport_->set_protocol(static_cast<ReplicationProtocol>(cmd.cdw10));
+      transport.set_protocol(static_cast<ReplicationProtocol>(cmd.cdw10));
       break;
     }
     case nvme::AdminOpcode::kXssdGetLogRing:
-      cpl.result = static_cast<uint32_t>(destage_->next_sequence());
+      cpl.result = static_cast<uint32_t>(
+          partitions_[cmd.cdw13].destage->next_sequence());
       break;
     default:
       cpl.status = nvme::CmdStatus::kInvalidOpcode;
@@ -309,15 +390,31 @@ void VillarsDevice::PowerFail(std::function<void()> done) {
   }
   halted_ = true;  // reject further host traffic immediately
   scrubber_->Stop();
-  // Freeze the background pump first so the emergency destage (below)
+  // Freeze the background pumps first so the emergency destage (below)
   // accounts every page against the supercap energy budget.
-  destage_->set_frozen(true);
-  cmb_->DrainStagingForPowerLoss();
-  destage_->DestageAllForPowerLoss(config_.power.supercap_page_budget,
-                                   std::move(done));
+  for (Partition& p : partitions_) {
+    p.destage->set_frozen(true);
+    p.cmb->DrainStagingForPowerLoss();
+  }
+  EmergencyDestage(0, config_.power.supercap_page_budget, std::move(done));
   if (flightrec_ != nullptr) {
     flightrec_->AutoDump(name_ + " power fail");
   }
+}
+
+void VillarsDevice::EmergencyDestage(size_t i, uint32_t pages_left,
+                                     std::function<void()> done) {
+  if (i == partitions_.size()) {
+    done();
+    return;
+  }
+  // One energy store: each partition spends what the previous ones left.
+  partitions_[i].destage->DestageAllForPowerLoss(
+      pages_left,
+      [this, i, pages_left, done = std::move(done)](uint32_t spent) mutable {
+        EmergencyDestage(i + 1, pages_left - std::min(spent, pages_left),
+                         std::move(done));
+      });
 }
 
 void VillarsDevice::CrashHard() {
@@ -331,85 +428,62 @@ void VillarsDevice::CrashHard() {
   // Order matters: halt the destage pipeline (cancelling any backed-off
   // write retries) before dropping staged chunks, so nothing schedules new
   // flash traffic against the dead device.
-  destage_->HaltForCrash();
-  cmb_->AbandonStagingForCrash();
+  for (Partition& p : partitions_) {
+    p.destage->HaltForCrash();
+    p.cmb->AbandonStagingForCrash();
+  }
   if (flightrec_ != nullptr) {
     flightrec_->AutoDump(name_ + " hard crash");
   }
 }
 
-void VillarsDevice::TruncateLog(uint64_t offset) {
+void VillarsDevice::TruncateLog(uint64_t offset, size_t i) {
+  Partition& p = partitions_[i];
   if (flightrec_ != nullptr) {
     flightrec_->Record(sim_->Now(), "device",
-                       name_ + " log truncate to offset " +
+                       p.Under(name_) + " log truncate to offset " +
                            std::to_string(offset));
   }
-  cmb_->TruncateTo(offset);
-  if (destage_->destage_cursor() > offset) {
+  p.cmb->TruncateTo(offset);
+  if (p.destage->destage_cursor() > offset) {
     // Pages beyond the cut already went to flash and cannot be unwritten;
     // rolling the cursor back would break the sequence-chain law. Restart
     // the destage stream in a fresh epoch instead — recovery keeps only
     // the newest epoch, so the stale pages are ignored, and [0, offset)
     // re-destages under the new epoch stamp.
-    ++epoch_;
-    destage_ = std::make_unique<DestageModule>(sim_, ftl_.get(), cmb_.get(),
-                                               config_.destage, epoch_);
-    if (metrics_registry_ != nullptr) {
-      destage_->SetMetrics(metrics_registry_, metrics_prefix_);
-    }
-    if (injector_ != nullptr) {
-      destage_->SetFaultInjector(injector_, name_ + "/");
-    }
-    if (spans_ != nullptr) {
-      destage_->SetSpans(spans_, span_node_tag_);
-    }
-    if (flightrec_ != nullptr) {
-      destage_->SetFlightRecorder(flightrec_, name_);
-    }
-    cmb_->set_destaged_floor(0);
-    WireHooks();
+    ++p.epoch;
+    RestartDestage(p);
+    p.cmb->set_destaged_floor(0);
   }
-  destage_->OnCreditAdvance(cmb_->local_credit());
-  transport_->OnLocalCredit(cmb_->local_credit());
+  p.destage->OnCreditAdvance(p.cmb->local_credit());
+  p.transport->OnLocalCredit(p.cmb->local_credit());
 }
 
 void VillarsDevice::Reboot() {
   if (flightrec_ != nullptr) {
     flightrec_->Record(sim_->Now(), "device",
                        name_ + " reboot into epoch " +
-                           std::to_string(epoch_ + 1));
+                           std::to_string(epoch() + 1));
   }
-  ++epoch_;
   halted_ = false;
-  cmb_->ResetForReboot();
-  // The destage module restarts with a fresh cursor in the new epoch; the
-  // conventional side keeps all destaged pages (recovery reads them).
-  destage_ = std::make_unique<DestageModule>(sim_, ftl_.get(), cmb_.get(),
-                                             config_.destage, epoch_);
-  if (metrics_registry_ != nullptr) {
-    destage_->SetMetrics(metrics_registry_, metrics_prefix_);
+  for (Partition& p : partitions_) {
+    ++p.epoch;
+    p.cmb->ResetForReboot();
+    // The destage module restarts with a fresh cursor in the new epoch;
+    // the conventional side keeps all destaged pages (recovery reads
+    // them).
+    RestartDestage(p);
   }
-  if (injector_ != nullptr) {
-    destage_->SetFaultInjector(injector_, name_ + "/");
-  }
-  if (spans_ != nullptr) {
-    destage_->SetSpans(spans_, span_node_tag_);
-  }
-  if (flightrec_ != nullptr) {
-    destage_->SetFlightRecorder(flightrec_, name_);
-  }
-  // Advance the destage ring cursor past the previous epoch's pages so new
-  // destages do not immediately overwrite recovery data. Recovery tooling
-  // reads the ring before writing resumes.
-  WireHooks();
   // The scrubber survives the reboot (its per-block risk inputs live in
   // the flash array, which persists); only the tick needs re-arming.
   scrubber_->Start();
-  // The transport module survives the reboot (term fence, role, peers),
-  // but its credit view must follow the reset CMB: a rebooted secondary
+  // The transport modules survive the reboot (term fence, role, peers),
+  // but their credit view must follow the reset CMB: a rebooted secondary
   // advertising its pre-crash counter would make the primary skip the
   // catch-up prefix during resync.
-  transport_->OnLocalCredit(cmb_->local_credit());
+  for (Partition& p : partitions_) {
+    p.transport->OnLocalCredit(p.cmb->local_credit());
+  }
 }
 
 }  // namespace xssd::core

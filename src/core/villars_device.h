@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/cmb_module.h"
 #include "core/config.h"
@@ -30,6 +31,17 @@ namespace xssd::core {
 /// Vendor-specific NVMe admin commands switch roles, add peers, and tune
 /// destage/replication policy — "changing the networking mode ... is done
 /// via software" (§4.2).
+///
+/// Partitions (§7.2, SR-IOV-style multi-tenancy): the fast side is
+/// replicated once per partition — partition 0 from config.cmb/destage/
+/// transport, partitions 1..N-1 from config.extra_partitions — while the
+/// flash array, FTL, scrubber and NVMe controller stay shared. The CMB BAR
+/// lays the partitions out back to back, each as [control page | ring
+/// window | peer_intake_slots term-fenced aliases], so an unmodified
+/// XLogClient pointed at partition_base(i) works as-is. Vendor admin
+/// commands select their partition by cdw13; an index >= N completes with
+/// kInvalidField. Each partition keeps its own destage epoch; power events
+/// act on all partitions, and the supercap budget is shared between them.
 class VillarsDevice : public pcie::MmioDevice {
  public:
   VillarsDevice(sim::Simulator* sim, pcie::PcieFabric* fabric,
@@ -44,14 +56,18 @@ class VillarsDevice : public pcie::MmioDevice {
 
   uint64_t bar0_base() const { return bar0_base_; }
   uint64_t cmb_base() const { return cmb_base_; }
-  /// Bus address of the ring window (cmb_base + control page).
+  /// Bus address of partition 0's ring window (cmb_base + control page).
   uint64_t ring_window_base() const { return cmb_base_ + kRingWindowOffset; }
-  /// Control page + direct ring window + one ring-sized intake alias per
-  /// configured peer slot (CmbConfig::peer_intake_slots; 0 = legacy BAR).
-  uint64_t cmb_bar_bytes() const {
-    return kCtrlPageBytes +
-           config_.cmb.ring_bytes * (1 + config_.cmb.peer_intake_slots);
+  /// Bus address of partition `i`'s control page (an XLogClient's
+  /// cmb_base for that tenant).
+  uint64_t partition_base(size_t i) const {
+    return cmb_base_ + partitions_[i].bar_offset;
   }
+  size_t partition_count() const { return partitions_.size(); }
+  /// Whole CMB BAR: per partition, control page + direct ring window + one
+  /// ring-sized intake alias per configured peer slot
+  /// (CmbConfig::peer_intake_slots; 0 = legacy layout).
+  uint64_t cmb_bar_bytes() const { return cmb_bar_bytes_; }
 
   // pcie::MmioDevice — the CMB BAR (control page + ring window).
   void OnMmioWrite(uint64_t offset, const uint8_t* data, size_t len) override;
@@ -59,9 +75,9 @@ class VillarsDevice : public pcie::MmioDevice {
 
   // -- Power events ---------------------------------------------------------
 
-  /// Sudden power interruption: drain the staging queue, destage the PM
-  /// ring (bounded by the supercap budget), then halt. `done` fires when
-  /// the emergency destage finishes.
+  /// Sudden power interruption: drain every partition's staging queue,
+  /// destage the PM rings (together bounded by the supercap budget), then
+  /// halt. `done` fires once, when the emergency destage finishes.
   void PowerFail(std::function<void()> done);
 
   /// Hard crash (firmware wedge / supercap failure): the device halts with
@@ -70,25 +86,29 @@ class VillarsDevice : public pcie::MmioDevice {
   /// recovery — the worst case the recovery chain walk must handle.
   void CrashHard();
 
-  /// Bring the device back: fast side restarts empty in a new epoch; the
-  /// conventional side (flash) retains everything destaged.
+  /// Bring the device back: every partition's fast side restarts empty in
+  /// a new epoch; the conventional side (flash) retains everything
+  /// destaged.
   void Reboot();
 
-  /// HA resync: discard stream bytes at or above `offset` (the rejoining
-  /// secondary's unreplicated suffix). If pages beyond the cut were already
-  /// issued to flash, the destage stream restarts in a fresh epoch so the
-  /// recovery chain walk ignores them; otherwise the cursor simply stops
-  /// short of the cut. Exposed over admin as kXssdTruncate.
-  void TruncateLog(uint64_t offset);
+  /// HA resync: discard partition `i`'s stream bytes at or above `offset`
+  /// (the rejoining secondary's unreplicated suffix). If pages beyond the
+  /// cut were already issued to flash, the destage stream restarts in a
+  /// fresh epoch so the recovery chain walk ignores them; otherwise the
+  /// cursor simply stops short of the cut. Exposed over admin as
+  /// kXssdTruncate.
+  void TruncateLog(uint64_t offset, size_t i = 0);
 
   bool halted() const { return halted_; }
-  uint32_t epoch() const { return epoch_; }
+  uint32_t epoch(size_t i = 0) const { return partitions_[i].epoch; }
 
   // -- Component access -----------------------------------------------------
 
-  CmbModule& cmb() { return *cmb_; }
-  DestageModule& destage() { return *destage_; }
-  TransportModule& transport() { return *transport_; }
+  CmbModule& cmb(size_t i = 0) { return *partitions_[i].cmb; }
+  DestageModule& destage(size_t i = 0) { return *partitions_[i].destage; }
+  TransportModule& transport(size_t i = 0) {
+    return *partitions_[i].transport;
+  }
   ftl::Ftl& ftl() { return *ftl_; }
   /// Patrol scrubber over this device's FTL (running only when
   /// config.scrub.enabled; halted with the device, re-armed on Reboot).
@@ -99,19 +119,22 @@ class VillarsDevice : public pcie::MmioDevice {
   const std::string& name() const { return name_; }
 
   /// Credit the host sees (protocol-dependent on a primary).
-  uint64_t EffectiveCredit() const {
-    return transport_->EffectiveCredit(cmb_->local_credit());
+  uint64_t EffectiveCredit(size_t i = 0) const {
+    const Partition& p = partitions_[i];
+    return p.transport->EffectiveCredit(p.cmb->local_credit());
   }
 
   /// Register metrics for every component under `prefix` (e.g. "cmb.*",
-  /// "destage.*", "flash.*"). The registry pointer is retained so the
-  /// destage module recreated by Reboot() is re-instrumented.
+  /// "destage.*", "flash.*"); partition i >= 1 adds "part<i>." after the
+  /// prefix. The registry pointer is retained so the destage modules
+  /// recreated by Reboot() are re-instrumented.
   void EnableMetrics(obs::MetricsRegistry* registry,
                      const std::string& prefix = "");
 
   /// Attach span tracing to every component under node tag `node_tag`
-  /// (nullptr detaches). The recorder is retained so the destage module
-  /// recreated by Reboot()/TruncateLog() is re-instrumented.
+  /// (partition i >= 1: `node_tag` + "/part<i>"; nullptr detaches). The
+  /// recorder is retained so the destage modules recreated by
+  /// Reboot()/TruncateLog() are re-instrumented.
   void EnableSpans(obs::SpanRecorder* spans, const std::string& node_tag);
 
   /// Attach a flight recorder to every component of this device (nullptr
@@ -119,29 +142,65 @@ class VillarsDevice : public pcie::MmioDevice {
   /// wraps, fenced writes, uncorrectable-read escalations, GC collects)
   /// tagged with this device's name; the device itself records power
   /// fails, hard crashes, reboots, and log truncations, and AutoDumps the
-  /// ring at both crash flavours. Retained so the destage module recreated
-  /// by Reboot()/TruncateLog() stays instrumented.
+  /// ring at both crash flavours. Retained so the destage modules
+  /// recreated by Reboot()/TruncateLog() stay instrumented.
   void EnableFlightRecorder(obs::FlightRecorder* recorder);
 
   /// Attach a fault injector to every component of this device (nullptr
-  /// detaches). Crash sites are namespaced `name() + "/"` (a plan site
-  /// "destage.emit_page" matches any device; "pri/destage.emit_page" only
-  /// this one). With `install_crash_handler`, a firing crash clause drives
-  /// this device: graceful → PowerFail (supercap flush + emergency
-  /// destage), otherwise → CrashHard. The injector is retained so the
-  /// destage module recreated by Reboot() stays instrumented.
+  /// detaches). Crash sites are namespaced `name() + "/"` (partition
+  /// i >= 1: `name() + "/part<i>/"`; a plan site "destage.emit_page"
+  /// matches any device; "pri/destage.emit_page" only this one). With
+  /// `install_crash_handler`, a firing crash clause drives this device:
+  /// graceful → PowerFail (supercap flush + emergency destage), otherwise
+  /// → CrashHard. The injector is retained so the destage modules
+  /// recreated by Reboot() stay instrumented.
   void ArmFaults(fault::FaultInjector* injector,
                  bool install_crash_handler = true);
 
  private:
+  /// One partition's fast side.
+  struct Partition {
+    PartitionConfig config;
+    uint64_t bar_offset = 0;  ///< of the control page within the CMB BAR
+    uint64_t bar_bytes = 0;   ///< control page + ring window + aliases
+    uint32_t epoch = 0;       ///< of this partition's destage stream
+    std::string tag;          ///< "" for partition 0, else "part<i>"
+    std::unique_ptr<CmbModule> cmb;
+    std::unique_ptr<DestageModule> destage;
+    std::unique_ptr<TransportModule> transport;
+
+    /// `base` + "/" + tag (node tags, fault sites, flight-recorder tags).
+    std::string Under(const std::string& base) const {
+      return tag.empty() ? base : base + "/" + tag;
+    }
+    /// `prefix` + tag + "." (metric names).
+    std::string MetricsPrefix(const std::string& prefix) const {
+      return tag.empty() ? prefix : prefix + tag + ".";
+    }
+  };
+
+  /// Partition holding CMB BAR offset `offset` (always one: the fabric
+  /// routes only offsets inside the BAR).
+  Partition& Find(uint64_t offset);
+
   /// Vendor-specific admin command dispatch.
   void HandleVendorAdmin(const nvme::Command& cmd,
                          std::function<void(nvme::Completion)> done);
 
-  /// Read a control-page register.
-  uint64_t ReadRegister(uint64_t offset) const;
+  /// Read one of `p`'s control-page registers.
+  uint64_t ReadRegister(const Partition& p, uint64_t offset) const;
 
-  void WireHooks();
+  /// Connect `p`'s CMB, destage and transport modules to each other.
+  void WireHooks(Partition& p);
+
+  /// Replace `p`'s destage module with a fresh one in `p.epoch`, carrying
+  /// over the attached instrumentation, and rewire.
+  void RestartDestage(Partition& p);
+
+  /// Emergency-destage partitions i..N-1 in turn within `pages_left`
+  /// pages of supercap energy, then call `done`.
+  void EmergencyDestage(size_t i, uint32_t pages_left,
+                        std::function<void()> done);
 
   sim::Simulator* sim_;
   pcie::PcieFabric* fabric_;
@@ -152,14 +211,13 @@ class VillarsDevice : public pcie::MmioDevice {
   std::unique_ptr<ftl::Ftl> ftl_;
   std::unique_ptr<ftl::PatrolScrubber> scrubber_;
   std::unique_ptr<nvme::Controller> controller_;
-  std::unique_ptr<CmbModule> cmb_;
-  std::unique_ptr<DestageModule> destage_;
-  std::unique_ptr<TransportModule> transport_;
+  /// Sized once in the ctor: hooks hold Partition pointers.
+  std::vector<Partition> partitions_;
 
   uint64_t bar0_base_ = 0;
   uint64_t cmb_base_ = 0;
+  uint64_t cmb_bar_bytes_ = 0;
   bool halted_ = false;
-  uint32_t epoch_ = 0;
 
   // Observability (set by EnableMetrics; survives Reboot()).
   obs::MetricsRegistry* metrics_registry_ = nullptr;

@@ -37,12 +37,15 @@ uint32_t ReferenceCrc32c(const void* data, size_t len, uint32_t seed) {
   return ~crc;
 }
 
-using Kernel = uint32_t (*)(const void*, size_t, uint32_t);
+enum class KernelId : uint32_t { kHardware, kPortable, kDispatched };
 
+// Plain bytes with no pointers and no padding: gtest prints the parameter's
+// bytes into each test's name, and a pointer (or uninitialised padding)
+// would make the names differ from one build or run to the next.
 struct KernelCase {
-  const char* name;
-  Kernel kernel;
-  bool needs_hardware;
+  char name[16];
+  KernelId kernel;
+  uint32_t needs_hardware;
 };
 
 class Crc32cKernelTest : public ::testing::TestWithParam<KernelCase> {
@@ -53,7 +56,15 @@ class Crc32cKernelTest : public ::testing::TestWithParam<KernelCase> {
     }
   }
   uint32_t Run(const void* data, size_t len, uint32_t seed = 0) {
-    return GetParam().kernel(data, len, seed);
+    switch (GetParam().kernel) {
+      case KernelId::kHardware:
+        return crc32_internal::Crc32cHardware(data, len, seed);
+      case KernelId::kPortable:
+        return crc32_internal::Crc32cPortable(data, len, seed);
+      case KernelId::kDispatched:
+        return Crc32c(data, len, seed);
+    }
+    return 0;
   }
 };
 
@@ -116,9 +127,9 @@ TEST_P(Crc32cKernelTest, Rfc3720Vectors) {
 INSTANTIATE_TEST_SUITE_P(
     Kernels, Crc32cKernelTest,
     ::testing::Values(
-        KernelCase{"Hardware", crc32_internal::Crc32cHardware, true},
-        KernelCase{"Portable", crc32_internal::Crc32cPortable, false},
-        KernelCase{"Dispatched", Crc32c, false}),
+        KernelCase{"Hardware", KernelId::kHardware, 1},
+        KernelCase{"Portable", KernelId::kPortable, 0},
+        KernelCase{"Dispatched", KernelId::kDispatched, 0}),
     [](const ::testing::TestParamInfo<KernelCase>& info) {
       return std::string(info.param.name);
     });

@@ -199,7 +199,8 @@ TEST_F(DestageTest, PowerLossDestagesEverythingPersisted) {
   destage_.set_frozen(true);
   cmb_.DrainStagingForPowerLoss();
   bool done = false;
-  destage_.DestageAllForPowerLoss(/*page_budget=*/16, [&]() { done = true; });
+  destage_.DestageAllForPowerLoss(/*page_budget=*/16,
+                                 [&](uint32_t) { done = true; });
   sim_.RunWhile([&]() { return done; });
   EXPECT_EQ(destage_.destaged(), 1500u);
 }
@@ -214,9 +215,33 @@ TEST_F(DestageTest, PowerLossRespectsEnergyBudget) {
   cmb_.DrainStagingForPowerLoss();
   uint64_t already = destage_.stats().pages_written;
   bool done = false;
-  destage_.DestageAllForPowerLoss(/*page_budget=*/2, [&]() { done = true; });
+  destage_.DestageAllForPowerLoss(/*page_budget=*/2,
+                                 [&](uint32_t) { done = true; });
   sim_.RunWhile([&]() { return done; });
   EXPECT_LE(destage_.stats().pages_written - already, 2u + 1);
+}
+
+TEST_F(DestageTest, PowerLossBudgetIsAHardCapOnIssuedPages) {
+  // 10 pages persisted and a pipeline deep enough to issue them all in
+  // one go: the budget, not the pipeline depth, bounds what is written.
+  destage_.set_frozen(true);
+  for (int i = 0; i < 10; ++i) {
+    WriteStream(static_cast<uint64_t>(i) * Capacity(), Capacity(),
+                static_cast<uint8_t>(i));
+  }
+  cmb_.DrainStagingForPowerLoss();
+  uint64_t already = destage_.stats().pages_written;
+  uint32_t charged = 0;
+  bool done = false;
+  destage_.DestageAllForPowerLoss(/*page_budget=*/3, [&](uint32_t pages) {
+    charged = pages;
+    done = true;
+  });
+  sim_.Run();  // let every issued page land
+  ASSERT_TRUE(done);
+  EXPECT_EQ(charged, 3u);
+  EXPECT_EQ(destage_.stats().pages_written - already, 3u);
+  EXPECT_EQ(destage_.destaged(), 3u * Capacity());
 }
 
 }  // namespace

@@ -68,37 +68,54 @@ TEST(Validate, ZeroSupercapBudgetRejected) {
 }
 
 TEST(ValidatePartitioned, EmptyPartitionsRejected) {
-  PartitionedConfig config;
+  // Partition 0 always exists, so "empty" now means an extra partition
+  // with no staging queue and no destage ring.
+  VillarsConfig config;
+  config.destage.ring_lba_count = 100;
+  PartitionConfig empty;
+  empty.cmb.queue_bytes = 0;
+  empty.destage.ring_start_lba = 100;
+  empty.destage.ring_lba_count = 0;
+  config.extra_partitions = {empty};
   EXPECT_FALSE(ValidateConfig(config).ok());
 }
 
 TEST(ValidatePartitioned, DisjointTenantsAccepted) {
-  PartitionedConfig config;
-  PartitionConfig a, b;
-  a.destage.ring_start_lba = 0;
-  a.destage.ring_lba_count = 100;
+  VillarsConfig config;
+  config.destage.ring_start_lba = 0;
+  config.destage.ring_lba_count = 100;
+  PartitionConfig b;
   b.destage.ring_start_lba = 100;
   b.destage.ring_lba_count = 100;
-  config.partitions = {a, b};
+  config.extra_partitions = {b};
   EXPECT_TRUE(ValidateConfig(config).ok());
 }
 
 TEST(ValidatePartitioned, OverlappingDestageRingsRejected) {
-  PartitionedConfig config;
-  PartitionConfig a, b;
-  a.destage.ring_start_lba = 0;
-  a.destage.ring_lba_count = 100;
-  b.destage.ring_start_lba = 50;  // overlaps a
+  VillarsConfig config;
+  config.destage.ring_start_lba = 0;
+  config.destage.ring_lba_count = 100;
+  PartitionConfig b;
+  b.destage.ring_start_lba = 50;  // overlaps partition 0
   b.destage.ring_lba_count = 100;
-  config.partitions = {a, b};
+  config.extra_partitions = {b};
+  EXPECT_FALSE(ValidateConfig(config).ok());
+
+  // Overlap between two extra partitions is caught too.
+  PartitionConfig c = b;
+  c.destage.ring_start_lba = 100;
+  b.destage.ring_start_lba = 150;
+  config.extra_partitions = {c, b};
   EXPECT_FALSE(ValidateConfig(config).ok());
 }
 
 TEST(ValidatePartitioned, PerPartitionChecksApply) {
-  PartitionedConfig config;
+  VillarsConfig config;
+  config.destage.ring_lba_count = 100;
   PartitionConfig a;
   a.cmb.queue_bytes = 0;
-  config.partitions = {a};
+  a.destage.ring_start_lba = 100;
+  config.extra_partitions = {a};
   EXPECT_FALSE(ValidateConfig(config).ok());
 }
 

@@ -112,6 +112,19 @@ TEST_F(VillarsDeviceTest, VendorSetUpdatePeriod) {
   EXPECT_EQ(node_.device().transport().update_period(), sim::Ns(400));
 }
 
+TEST_F(VillarsDeviceTest, VendorCommandForMissingPartitionRejected) {
+  // cdw13 selects the partition; a single-partition device has only 0.
+  nvme::Command cmd;
+  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetReplication);
+  cmd.cdw10 = static_cast<uint32_t>(ReplicationProtocol::kLazy);
+  cmd.cdw13 = 1;
+  EXPECT_EQ(Admin(cmd).status, nvme::CmdStatus::kInvalidField);
+  EXPECT_EQ(node_.device().transport().protocol(), ReplicationProtocol::kEager);
+  cmd.cdw13 = 0;
+  EXPECT_TRUE(Admin(cmd).ok());
+  EXPECT_EQ(node_.device().transport().protocol(), ReplicationProtocol::kLazy);
+}
+
 TEST_F(VillarsDeviceTest, DestageBarrierRegisterWritable) {
   uint64_t barrier = 12345;
   uint8_t raw[8];
