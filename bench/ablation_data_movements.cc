@@ -82,18 +82,26 @@ class HostDestagingNvdimmBackend : public db::NvdimmBackend {
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::BenchReporter reporter(argc, argv, "ablation_data_movements");
   bench::PrintHeader("Ablation A: host data movements per logged byte");
   std::printf("%-22s %10s %14s %16s %14s\n", "method", "txn/s",
               "log_MB", "host_bus_MB", "movements/byte");
 
   for (int method = 0; method < 2; ++method) {
+    const char* label = method == 0 ? "host-managed-pm" : "villars-fast";
     sim::Simulator sim;
+    reporter.AttachTrace(&sim, label);
+    reporter.AttachTimeSeries(&sim, label);
     host::StorageNode node(&sim,
                            bench::PaperVillarsConfig(core::BackingKind::kSram),
                            bench::PaperFabricConfig(), "bench");
     if (!node.Init().ok()) return 1;
+    node.EnableMetrics(&reporter.registry());
+    if (obs::SpanRecorder* spans = reporter.AttachSpans(&sim, label)) {
+      node.EnableSpans(spans, "dev");
+    }
 
     std::unique_ptr<db::LogBackend> backend;
     HostDestagingNvdimmBackend* nvdimm = nullptr;
@@ -118,14 +126,17 @@ int main() {
         nvdimm ? nvdimm->host_bus_bytes() / 1e6 : result.log_bytes / 1e6;
     // Villars: one host-bus crossing (the MMIO store stream source reads).
     double movements = log_mb > 0 ? bus_mb / log_mb : 0;
-    std::printf("%-22s %10.0f %14.1f %16.1f %14.1f\n",
-                method == 0 ? "host-managed-pm" : "villars-fast",
+    std::printf("%-22s %10.0f %14.1f %16.1f %14.1f\n", label,
                 result.txns_per_sec, log_mb, bus_mb, movements);
+    reporter.SetResult(label, "txns_per_sec", result.txns_per_sec);
+    reporter.SetResult(label, "log_mb", log_mb);
+    reporter.SetResult(label, "host_bus_mb", bus_mb);
+    reporter.SetResult(label, "movements_per_byte", movements);
   }
   std::printf(
       "\n(host-managed PM destaging crosses the host bus ~3x per byte on\n"
       " top of the device's internal flash write; the X-SSD path crosses\n"
       " it once — the device moves data internally: 4 vs 2 total\n"
       " movements, paper section 5.1)\n");
-  return 0;
+  return reporter.Finish();
 }

@@ -22,8 +22,10 @@ namespace xssd {
 namespace {
 
 void RunOne(core::ReplicationProtocol protocol, const char* name,
-            bool slow_is_tail = true) {
+            bench::BenchReporter* reporter, bool slow_is_tail = true) {
   sim::Simulator sim;
+  reporter->AttachTrace(&sim, name);
+  reporter->AttachTimeSeries(&sim, name);
   core::VillarsConfig config =
       bench::PaperVillarsConfig(core::BackingKind::kSram);
   host::StorageNode primary(&sim, config, bench::PaperFabricConfig(), "pri");
@@ -31,6 +33,15 @@ void RunOne(core::ReplicationProtocol protocol, const char* name,
   host::StorageNode slow_sec(&sim, config, bench::PaperFabricConfig(), "s2");
   if (!primary.Init().ok() || !fast_sec.Init().ok() || !slow_sec.Init().ok())
     std::exit(1);
+  // Node prefixes keep the three devices' metric namespaces apart.
+  primary.EnableMetrics(&reporter->registry(), "pri.");
+  fast_sec.EnableMetrics(&reporter->registry(), "s1.");
+  slow_sec.EnableMetrics(&reporter->registry(), "s2.");
+  if (obs::SpanRecorder* spans = reporter->AttachSpans(&sim, name)) {
+    primary.EnableSpans(spans, "pri");
+    fast_sec.EnableSpans(spans, "s1");
+    slow_sec.EnableSpans(spans, "s2");
+  }
 
   host::ReplicationGroup group(
       slow_is_tail
@@ -66,23 +77,29 @@ void RunOne(core::ReplicationProtocol protocol, const char* name,
   std::printf("%-8s %10.2f %10.2f %10.2f %10.2f %10.2f %10lu\n", name,
               candle.min, candle.p25, candle.p50, candle.p75, candle.max,
               static_cast<unsigned long>(latency_us.count()));
+  reporter->SetResult(name, "p50_us", candle.p50);
+  reporter->SetResult(name, "max_us", candle.max);
+  reporter->SetResult(name, "ops", static_cast<double>(latency_us.count()));
 }
 
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::BenchReporter reporter(argc, argv, "ablation_replication_protocols");
   bench::PrintHeader(
       "Ablation B: replication protocols (2 secondaries, one slow)");
   std::printf("%-8s %10s %10s %10s %10s %10s %10s\n", "proto", "min_us",
               "p25_us", "p50_us", "p75_us", "max_us", "ops");
-  RunOne(core::ReplicationProtocol::kLazy, "lazy");
-  RunOne(core::ReplicationProtocol::kEager, "eager");
+  RunOne(core::ReplicationProtocol::kLazy, "lazy", &reporter);
+  RunOne(core::ReplicationProtocol::kEager, "eager", &reporter);
   // Chain semantics: only the tail's counter gates commit. With the slow
   // node at the tail, chain == eager; with the fast node at the tail, the
   // slow node no longer gates latency.
-  RunOne(core::ReplicationProtocol::kChain, "chain-s", /*slow_is_tail=*/true);
-  RunOne(core::ReplicationProtocol::kChain, "chain-f", /*slow_is_tail=*/false);
-  return 0;
+  RunOne(core::ReplicationProtocol::kChain, "chain-s", &reporter,
+         /*slow_is_tail=*/true);
+  RunOne(core::ReplicationProtocol::kChain, "chain-f", &reporter,
+         /*slow_is_tail=*/false);
+  return reporter.Finish();
 }

@@ -54,7 +54,8 @@ inline void PrintHeader(const std::string& title) {
 
 /// A bench's own command-line flags. BenchReporter passes each one (with
 /// its value, for `values`) through positional() for the bench to parse,
-/// and rejects every other `--` argument.
+/// and rejects every other `--` argument. Bare (positional) arguments are
+/// accepted only when `positional` describes them.
 struct BenchFlags {
   std::vector<std::string> values = {};    ///< flags that take one value
   std::vector<std::string> switches = {};  ///< flags that take none
@@ -74,13 +75,15 @@ struct BenchFlags {
 ///                      sampler per run (see AttachTimeSeries)
 ///   --ts-interval-us N sampling window length in virtual µs (default 1000)
 ///   --slo PATH         JSON SLO rules evaluated per window (implies
-///                      sampling); a fatal rule's alert fails the bench
+///                      sampling); a fatal rule's alert, or a rule whose
+///                      metric never produced a series, fails the bench
 ///   --flightrec PATH   write the flight-recorder ring to PATH at exit
 ///                      (the recorder itself is always on; crash-site
 ///                      AutoDumps also land in PATH instead of stderr)
 ///
-/// Any other `--` argument, a value flag given without its value, or a
-/// malformed --ts-interval-us prints usage and exits with status 2.
+/// Any other `--` argument, a bare argument the bench does not declare, a
+/// value flag given without its value, or a malformed --ts-interval-us
+/// prints usage and exits with status 2.
 ///
 /// Device counters accumulate across every run the bench performs; per-run
 /// headline numbers go in as `bench.<name>.*` gauges via SetResult(), so
@@ -141,6 +144,8 @@ class BenchReporter {
         positional_.push_back(std::move(arg));
       } else if (arg.rfind("--", 0) == 0) {
         fail("unknown flag " + arg);
+      } else if (bench_flags.positional.empty()) {
+        fail("unexpected argument " + arg);
       } else {
         positional_.push_back(std::move(arg));
       }
@@ -239,7 +244,8 @@ class BenchReporter {
 
   /// Write the metrics snapshot (and the trace / time series / flight
   /// recorder, when recording). Call once at the end of main(). Returns
-  /// non-zero on export failures and on any fatal SLO alert.
+  /// non-zero on export failures, on any fatal SLO alert and on any SLO
+  /// rule that never bound to a series.
   int Finish() {
     if (flag_error_) return 1;
     // Close trailing partial windows before exporting anything: samplers
@@ -326,12 +332,30 @@ class BenchReporter {
                   static_cast<unsigned long long>(trace_->dropped()));
     }
     uint64_t fatal = 0;
+    // Every run's watchdog holds a prefix of slo_rules_, in order.
+    std::vector<bool> bound(slo_rules_.size(), false);
     for (const TsRun& run : ts_runs_) {
-      if (run.watchdog) fatal += run.watchdog->fatal_alerts();
+      if (!run.watchdog) continue;
+      fatal += run.watchdog->fatal_alerts();
+      const auto& rules = run.watchdog->rules();
+      for (size_t r = 0; r < rules.size(); ++r) {
+        if (rules[r].bound) bound[r] = true;
+      }
     }
-    if (fatal > 0) {
-      std::fprintf(stderr, "%llu fatal SLO alert(s) — failing the bench\n",
-                   static_cast<unsigned long long>(fatal));
+    size_t unbound = 0;
+    for (size_t r = 0; r < slo_rules_.size(); ++r) {
+      if (bound[r]) continue;
+      ++unbound;
+      std::fprintf(stderr,
+                   "SLO rule %s: metric %s never produced a series in any "
+                   "window (misspelt?)\n",
+                   slo_rules_[r].name.c_str(), slo_rules_[r].metric.c_str());
+    }
+    if (fatal > 0 || unbound > 0) {
+      std::fprintf(stderr,
+                   "%llu fatal SLO alert(s), %zu unbound SLO rule(s) — "
+                   "failing the bench\n",
+                   static_cast<unsigned long long>(fatal), unbound);
       return 1;
     }
     return 0;

@@ -10,6 +10,7 @@
 // 16 bytes on (the shared DDR bus, not the link, is the ceiling).
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -19,9 +20,20 @@
 namespace xssd {
 namespace {
 
+std::string RunLabel(core::BackingKind backing, pcie::MmioMode mode,
+                     uint32_t write_size) {
+  return std::string(backing == core::BackingKind::kSram ? "sram" : "dram") +
+         (mode == pcie::MmioMode::kWriteCombining ? ".wc." : ".uc.") +
+         std::to_string(write_size) + "B";
+}
+
 double RunOne(core::BackingKind backing, pcie::MmioMode mode,
-              uint32_t write_size, sim::SimTime duration) {
+              uint32_t write_size, sim::SimTime duration,
+              bench::BenchReporter* reporter) {
+  const std::string label = RunLabel(backing, mode, write_size);
   sim::Simulator sim;
+  reporter->AttachTrace(&sim, label);
+  reporter->AttachTimeSeries(&sim, label);
   host::XLogClientOptions options;
   options.mmio_mode = mode;
   options.respect_ring_capacity = false;  // raw intake measurement
@@ -31,6 +43,10 @@ double RunOne(core::BackingKind backing, pcie::MmioMode mode,
   if (!status.ok()) {
     std::fprintf(stderr, "init failed: %s\n", status.ToString().c_str());
     std::exit(1);
+  }
+  node.EnableMetrics(&reporter->registry());
+  if (obs::SpanRecorder* spans = reporter->AttachSpans(&sim, label)) {
+    node.EnableSpans(spans, "dev");
   }
 
   // This is a pure intake-path microbenchmark (as in the paper): destaging
@@ -67,14 +83,17 @@ double RunOne(core::BackingKind backing, pcie::MmioMode mode,
   sim.RunFor(duration);
   double secs = sim::ToSec(sim.Now() - start);
   stop = true;
-  return static_cast<double>(appended - start_bytes) / secs;
+  double bytes_per_sec = static_cast<double>(appended - start_bytes) / secs;
+  reporter->SetResult(label, "mb_per_sec", bytes_per_sec / 1e6);
+  return bytes_per_sec;
 }
 
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::BenchReporter reporter(argc, argv, "fig10");
   // Raw-intake runs intentionally lap the ring; silence the advisory note.
   SetLogLevel(LogLevel::kError);
   const uint32_t sizes[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
@@ -97,7 +116,8 @@ int main() {
             sizes[si] < 16
                 ? sim::Ms(1)
                 : (sizes[si] < 64 ? sim::Ms(4) : sim::Ms(10));
-        results[mi][si] = RunOne(backing, mode, sizes[si], duration);
+        results[mi][si] =
+            RunOne(backing, mode, sizes[si], duration, &reporter);
         best = std::max(best, results[mi][si]);
       }
       ++mi;
@@ -112,5 +132,5 @@ int main() {
                   results[0][si] / best, results[1][si] / best);
     }
   }
-  return 0;
+  return reporter.Finish();
 }

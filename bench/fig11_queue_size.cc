@@ -25,8 +25,12 @@ struct CellResult {
 };
 
 CellResult RunOne(uint64_t queue_bytes, uint32_t write_bytes,
-                  sim::SimTime duration) {
+                  sim::SimTime duration, bench::BenchReporter* reporter) {
+  const std::string label = "q" + std::to_string(queue_bytes / 1024) +
+                            "K.w" + std::to_string(write_bytes / 1024) + "K";
   sim::Simulator sim;
+  reporter->AttachTrace(&sim, label);
+  reporter->AttachTimeSeries(&sim, label);
   core::VillarsConfig config =
       bench::PaperVillarsConfig(core::BackingKind::kSram);
   config.cmb.queue_bytes = queue_bytes;
@@ -37,6 +41,10 @@ CellResult RunOne(uint64_t queue_bytes, uint32_t write_bytes,
   host::StorageNode node(&sim, config, bench::PaperFabricConfig(), "bench");
   Status status = node.Init();
   if (!status.ok()) std::exit(1);
+  node.EnableMetrics(&reporter->registry());
+  if (obs::SpanRecorder* spans = reporter->AttachSpans(&sim, label)) {
+    node.EnableSpans(spans, "dev");
+  }
 
   std::vector<uint8_t> group(write_bytes, 0x5A);
   sim::LatencyRecorder latency;
@@ -66,15 +74,19 @@ CellResult RunOne(uint64_t queue_bytes, uint32_t write_bytes,
   sim.RunFor(duration);
   double secs = sim::ToSec(sim.Now() - start);
   stop = true;
-  return CellResult{latency.Mean(),
+  CellResult result{latency.Mean(),
                     static_cast<double>(bytes_done - start_bytes) / secs / 1e6};
+  reporter->SetResult(label, "mean_latency_us", result.mean_latency_us);
+  reporter->SetResult(label, "throughput_mb_s", result.throughput_mb_s);
+  return result;
 }
 
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::BenchReporter reporter(argc, argv, "fig11");
   const uint32_t write_kb[] = {1, 2, 4, 8, 16, 32, 64};
   const uint64_t queue_kb[] = {4, 8, 16, 32, 64};
 
@@ -84,8 +96,8 @@ int main() {
   CellResult grid[5][7];
   for (int qi = 0; qi < 5; ++qi) {
     for (int wi = 0; wi < 7; ++wi) {
-      grid[qi][wi] =
-          RunOne(queue_kb[qi] * 1024, write_kb[wi] * 1024, sim::Ms(10));
+      grid[qi][wi] = RunOne(queue_kb[qi] * 1024, write_kb[wi] * 1024,
+                            sim::Ms(10), &reporter);
     }
   }
 
@@ -112,5 +124,5 @@ int main() {
     }
     std::printf("\n");
   }
-  return 0;
+  return reporter.Finish();
 }

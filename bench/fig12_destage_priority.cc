@@ -24,8 +24,14 @@ struct CellResult {
 };
 
 CellResult RunOne(ftl::SchedulingPolicy policy, double conv_frac,
-                  double fast_frac, sim::SimTime duration) {
+                  double fast_frac, sim::SimTime duration,
+                  bench::BenchReporter* reporter) {
+  const std::string label =
+      std::string(ftl::SchedulingPolicyName(policy)) + ".fast" +
+      std::to_string(static_cast<int>(fast_frac * 100 + 0.5));
   sim::Simulator sim;
+  reporter->AttachTrace(&sim, label);
+  reporter->AttachTimeSeries(&sim, label);
   core::VillarsConfig config =
       bench::PaperVillarsConfig(core::BackingKind::kSram);
   config.scheduling = policy;
@@ -46,6 +52,10 @@ CellResult RunOne(ftl::SchedulingPolicy policy, double conv_frac,
   host::StorageNode node(&sim, config, fabric, "bench");
   Status status = node.Init();
   if (!status.ok()) std::exit(1);
+  node.EnableMetrics(&reporter->registry());
+  if (obs::SpanRecorder* spans = reporter->AttachSpans(&sim, label)) {
+    node.EnableSpans(spans, "dev");
+  }
 
   double device_bw = node.device().flash_array().MaxProgramBandwidth();
   double conv_rate = device_bw * conv_frac;   // offered, bytes/sec
@@ -93,16 +103,20 @@ CellResult RunOne(ftl::SchedulingPolicy policy, double conv_frac,
   double secs = sim::ToSec(sim.Now() - start);
 
   auto& scheduler = node.device().ftl().scheduler();
-  return CellResult{
+  CellResult result{
       scheduler.completed_bytes(ftl::IoClass::kConventional) / secs / 1e6,
       scheduler.completed_bytes(ftl::IoClass::kDestage) / secs / 1e6};
+  reporter->SetResult(label, "conv_mb_s", result.conv_mb_s);
+  reporter->SetResult(label, "fast_mb_s", result.fast_mb_s);
+  return result;
 }
 
 }  // namespace
 }  // namespace xssd
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xssd;
+  bench::BenchReporter reporter(argc, argv, "fig12");
   const double fast_fracs[] = {0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60};
 
   bench::PrintHeader(
@@ -116,10 +130,10 @@ int main() {
     std::printf("%-10s %14s %14s %12s\n", "fast_load", "conv_MB/s",
                 "fast_MB/s", "total_MB/s");
     for (double frac : fast_fracs) {
-      CellResult r = RunOne(policy, 0.50, frac, sim::Ms(50));
+      CellResult r = RunOne(policy, 0.50, frac, sim::Ms(50), &reporter);
       std::printf("%9.0f%% %14.1f %14.1f %12.1f\n", frac * 100, r.conv_mb_s,
                   r.fast_mb_s, r.conv_mb_s + r.fast_mb_s);
     }
   }
-  return 0;
+  return reporter.Finish();
 }

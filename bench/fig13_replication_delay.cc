@@ -41,7 +41,7 @@ RunResult RunOne(double update_period_us, sim::SimTime duration,
   sim::Simulator sim;
   // Each fabric is its own scheduler domain: under XSSD_SIM_SCHEDULER=
   // parallel the two nodes advance on separate workers, synchronized by the
-  // NTB hop latency (the serial backends merge the domains identically).
+  // NTB hop latency (the serial wheel merges the domains identically).
   sim.ConfigureDomains(2);
   reporter->AttachTrace(&sim, RunLabel(update_period_us));
   reporter->AttachTimeSeries(&sim, RunLabel(update_period_us));

@@ -93,6 +93,7 @@ void DestageModule::ArmTimer() {
   sim::SimTime fire_at = oldest_pending_since_ + config_.latency_threshold;
   sim::SimTime delay = fire_at > sim_->Now() ? fire_at - sim_->Now() : 0;
   sim_->Schedule(delay, [this]() {
+    if (retired_) return;
     timer_armed_ = false;
     Pump();
   });
@@ -189,6 +190,7 @@ void DestageModule::IssuePage(uint64_t lba, std::vector<uint8_t> page,
       ftl::IoClass::kDestage, lba, std::move(copy),
       [this, lba, page = std::move(page), begin, end, len, issued_at,
        attempt, span](Status status) mutable {
+        if (retired_) return;
         if (!status.ok()) {
           if (m_write_failures_) m_write_failures_->Add();
           if (attempt < config_.max_write_retries) {
@@ -201,6 +203,7 @@ void DestageModule::IssuePage(uint64_t lba, std::vector<uint8_t> page,
             sim_->Schedule(backoff, [this, lba, page = std::move(page), begin,
                                      end, len, issued_at, attempt,
                                      span]() mutable {
+              if (retired_) return;
               if (halted_) {
                 // Hard crash while backing off: the device is gone; the
                 // write never happens.
@@ -276,6 +279,10 @@ void DestageModule::DestageAllForPowerLoss(
   auto poll = std::make_shared<std::function<void()>>();
   *poll = [this, pages_before, saved_threshold, saved_barrier,
            done = std::move(done), poll]() mutable {
+    if (retired_) {
+      *poll = nullptr;  // break the reference cycle; `done` never fires
+      return;
+    }
     bool budget_left = stats_.pages_written + inflight_ < page_limit_;
     // Also done when everything was issued and nothing is in flight —
     // destaged_ can be pinned below credit when completion accounting was

@@ -85,6 +85,12 @@ class DestageModule {
     halted_ = true;
   }
 
+  /// The device replaced this module (reboot, log truncation). The owner
+  /// keeps it allocated until the device is destroyed, and every closure
+  /// it still has pending — latency timer, retry backoff, FTL write
+  /// completion, power-loss poll — returns without touching any state.
+  void Retire() { retired_ = true; }
+
   const DestageStats& stats() const { return stats_; }
 
   /// Register this module's metrics under `prefix` + "destage.".
@@ -181,6 +187,7 @@ class DestageModule {
   bool timer_armed_ = false;
   bool frozen_ = false;
   bool halted_ = false;  ///< hard crash: no further flash traffic
+  bool retired_ = false;  ///< replaced: pending closures are no-ops
   sim::SimTime oldest_pending_since_ = 0;
   fault::FaultInjector* injector_ = nullptr;
   std::string site_prefix_;

@@ -85,6 +85,10 @@ void VillarsDevice::WireHooks(Partition& p) {
 }
 
 void VillarsDevice::RestartDestage(Partition& p) {
+  if (p.destage) {
+    p.destage->Retire();
+    p.retired_destages.push_back(std::move(p.destage));
+  }
   p.destage = std::make_unique<DestageModule>(sim_, ftl_.get(), p.cmb.get(),
                                               p.config.destage, p.epoch);
   if (metrics_registry_ != nullptr) {

@@ -167,6 +167,9 @@ class VillarsDevice : public pcie::MmioDevice {
     std::string tag;          ///< "" for partition 0, else "part<i>"
     std::unique_ptr<CmbModule> cmb;
     std::unique_ptr<DestageModule> destage;
+    /// Modules replaced by RestartDestage, kept (inert) for the closures
+    /// they still have pending.
+    std::vector<std::unique_ptr<DestageModule>> retired_destages;
     std::unique_ptr<TransportModule> transport;
 
     /// `base` + "/" + tag (node tags, fault sites, flight-recorder tags).

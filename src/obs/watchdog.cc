@@ -201,6 +201,7 @@ void SloWatchdog::OnWindow(const TimeSeriesSampler& sampler,
     }
     state.last_value = value;
     state.last_valid = true;
+    state.bound = true;
     if (!Holds(state.rule.pred, value, state.rule.threshold)) {
       state.streak = 0;
       state.alerting = false;

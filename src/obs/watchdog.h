@@ -53,7 +53,10 @@ Result<std::vector<SloRule>> ParseSloRules(std::string_view json_text);
 /// rule's breach streak, one where it doesn't resets it; the alert fires
 /// (edge-triggered, once per excursion) when the streak reaches
 /// `for_windows`. Windows where the metric has no series yet (e.g. a
-/// latency recorder before its first sample) leave the streak unchanged.
+/// latency recorder before its first sample) leave the streak unchanged;
+/// a rule whose metric never produces a series stays unbound (`bound`
+/// false), which BenchReporter::Finish() reports as an error — a misspelt
+/// metric must not silently disable an SLO.
 /// Alerts bump `obs.watchdog.*` counters — namespaced obs.* so the CI
 /// zero-perturbation filter excludes them — and land in the flight
 /// recorder when one is attached.
@@ -89,6 +92,7 @@ class SloWatchdog {
     int64_t first_alert_window = -1;
     double last_value = 0;
     bool last_valid = false;
+    bool bound = false;  ///< the metric had a series in some window
     Counter* m_alerts = nullptr;
   };
   const std::vector<RuleState>& rules() const { return rules_; }

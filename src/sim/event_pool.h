@@ -19,8 +19,8 @@ namespace xssd::sim {
 ///
 /// The scheduler hot path runs millions of tiny closures — typically a
 /// module pointer plus a couple of integers. std::function's inline buffer
-/// (16 bytes on libstdc++) is too small for most of them, so the legacy
-/// scheduler paid one heap allocation per Schedule(). EventFn widens the
+/// (16 bytes on libstdc++) is too small for most of them, so storing them
+/// there would cost one heap allocation per Schedule(). EventFn widens the
 /// inline buffer to kInlineBytes so those captures are stored in place;
 /// only oversized or throwing-move callables fall back to the heap, and a
 /// process-wide counter keeps that fallback observable (kernel_bench
@@ -146,7 +146,7 @@ class EventPool {
  public:
   struct Node {
     SimTime when;
-    uint64_t seq;  // global FIFO tie-breaker among equal timestamps
+    uint64_t seq;  // canonical key: local seq or cross stamp (simulator.h)
     Node* next;    // intrusive bucket / free-list link
     EventFn fn;
   };

@@ -4,7 +4,7 @@
 #include <barrier>
 #include <cassert>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "common/logging.h"
@@ -40,21 +40,26 @@ Simulator::~Simulator() {
   }
 }
 
+bool Simulator::ParseBackend(const char* value, SchedulerBackend* out) {
+  std::string_view name = value == nullptr ? "" : value;
+  if (name != "" && name != "wheel" && name != "parallel") return false;
+  *out = name == "parallel" ? SchedulerBackend::kParallel
+                            : SchedulerBackend::kWheel;
+  return true;
+}
+
 Simulator::SchedulerBackend Simulator::DefaultBackend() {
   static const SchedulerBackend cached = [] {
-#ifdef XSSD_SIM_HEAP_SCHEDULER
-    SchedulerBackend fallback = SchedulerBackend::kHeap;
-#else
-    SchedulerBackend fallback = SchedulerBackend::kWheel;
-#endif
     const char* env = std::getenv("XSSD_SIM_SCHEDULER");
-    if (env == nullptr || env[0] == '\0') return fallback;
-    if (std::strcmp(env, "heap") == 0) return SchedulerBackend::kHeap;
-    if (std::strcmp(env, "wheel") == 0) return SchedulerBackend::kWheel;
-    if (std::strcmp(env, "parallel") == 0) return SchedulerBackend::kParallel;
-    XSSD_LOG(kWarning) << "unknown XSSD_SIM_SCHEDULER=" << env
-                       << " (want heap|wheel|parallel); using build default";
-    return fallback;
+    SchedulerBackend backend;
+    if (!ParseBackend(env, &backend)) {
+      // A stale value must not silently run the default: a "compare
+      // backend A with backend B" script would then pass vacuously.
+      XSSD_LOG(kError) << "unknown XSSD_SIM_SCHEDULER=" << env
+                       << " (accepted: wheel, parallel)";
+      std::abort();
+    }
+    return backend;
   }();
   return cached;
 }
@@ -96,7 +101,7 @@ void Simulator::ScheduleAtDomain(Domain* dst, SimTime when, Callback fn) {
   if (src != nullptr && src != dst) {
     // Cross-domain event. The lookahead contract is what lets the parallel
     // backend run whole windows without consulting other domains — enforce
-    // it on the serial backends too, so a model that passes serially is
+    // it on the serial path too, so a model that passes serially is
     // guaranteed to merge identically in parallel.
     XSSD_CHECK(lookahead_ != kNoLookahead);
     XSSD_CHECK(when >= src->now + lookahead_);
@@ -107,10 +112,8 @@ void Simulator::ScheduleAtDomain(Domain* dst, SimTime when, Callback fn) {
     if (parallel_active_) {
       mailboxes_[src->id * domains_.size() + dst->id]->Push(when, key,
                                                             std::move(fn));
-    } else if (UsesWheel()) {
-      dst->inbox.push(dst->pool.Acquire(when, key, std::move(fn)));
     } else {
-      dst->heap.push(HeapEvent{when, key, std::move(fn)});
+      dst->inbox.push(dst->pool.Acquire(when, key, std::move(fn)));
     }
     return;
   }
@@ -127,58 +130,34 @@ void Simulator::ScheduleAtDomain(Domain* dst, SimTime when, Callback fn) {
   }
   uint64_t key = dst->next_seq++;
   if (trace_) trace_->OnEventScheduled(ref, when, key);
-  if (UsesWheel()) {
-    EventPool::Node* n = dst->pool.Acquire(when, key, std::move(fn));
-    if (when < dst->wheel.now()) {
-      // The serial merge may have advanced this domain's wheel clock past a
-      // cross arrival that was merged in behind it; locals scheduled by that
-      // arrival ride the inbox instead (its (when, key) order is exactly
-      // the order the wheel would have produced — and a wheel event with
-      // this timestamp cannot exist, or the clock could not have passed it).
-      dst->inbox.push(n);
-    } else {
-      dst->wheel.Insert(n);
-    }
+  EventPool::Node* n = dst->pool.Acquire(when, key, std::move(fn));
+  if (when < dst->wheel.now()) {
+    // The serial merge may have advanced this domain's wheel clock past a
+    // cross arrival that was merged in behind it; locals scheduled by that
+    // arrival ride the inbox instead (its (when, key) order is exactly
+    // the order the wheel would have produced — and a wheel event with
+    // this timestamp cannot exist, or the clock could not have passed it).
+    dst->inbox.push(n);
   } else {
-    dst->heap.push(HeapEvent{when, key, std::move(fn)});
+    dst->wheel.Insert(n);
   }
 }
 
 bool Simulator::StepBoundedSingle(SimTime bound) {
   Domain* d = d0_;
-  if (UsesWheel()) {
-    EventPool::Node* n = d->wheel.PopNext(bound);
-    if (n == nullptr) return false;
-    if (n->when >= obs_due_) NotifyTimeObserver(n->when);
-    now_ = n->when;
-    ++d->executed;
-    if (trace_) trace_->OnEventBegin(n->when, n->seq);
-    n->fn();
-    if (trace_) trace_->OnEventEnd(n->when, n->seq);
-    d->pool.Release(n);
-    return true;
-  }
-  if (d->heap.empty() || d->heap.top().when > bound) return false;
-  // The event is moved out before running so a callback can safely schedule
-  // new events (which may reallocate the underlying heap).
-  HeapEvent ev = std::move(const_cast<HeapEvent&>(d->heap.top()));
-  d->heap.pop();
-  if (ev.when >= obs_due_) NotifyTimeObserver(ev.when);
-  now_ = ev.when;
+  EventPool::Node* n = d->wheel.PopNext(bound);
+  if (n == nullptr) return false;
+  if (n->when >= obs_due_) NotifyTimeObserver(n->when);
+  now_ = n->when;
   ++d->executed;
-  if (trace_) trace_->OnEventBegin(ev.when, ev.key);
-  ev.fn();
-  if (trace_) trace_->OnEventEnd(ev.when, ev.key);
+  if (trace_) trace_->OnEventBegin(n->when, n->seq);
+  n->fn();
+  if (trace_) trace_->OnEventEnd(n->when, n->seq);
+  d->pool.Release(n);
   return true;
 }
 
 SimTime Simulator::DomainNextTime(Domain* d, SimTime deadline) {
-  if (!UsesWheel()) {
-    if (d->heap.empty() || d->heap.top().when > deadline) {
-      return TimerWheel::kNoEvent;
-    }
-    return d->heap.top().when;
-  }
   SimTime inbox_t =
       d->inbox.empty() ? TimerWheel::kNoEvent : d->inbox.top()->when;
   // The wheel clock must never pass the inbox head (a cross arrival that
@@ -207,27 +186,19 @@ bool Simulator::StepBoundedMerge(SimTime bound) {
   now_ = best_when;
   ++best->executed;
   executing_ = best;
-  if (UsesWheel()) {
-    // Local-first at equal timestamps: the wheel only yields best_when if a
-    // local event is there; otherwise the inbox head is the candidate.
-    EventPool::Node* n;
-    if (best->wheel.PeekNextTime(best_when) == best_when) {
-      n = best->wheel.PopNext(best_when);
-    } else {
-      n = best->inbox.top();
-      best->inbox.pop();
-    }
-    if (trace_) trace_->OnEventBegin(n->when, n->seq);
-    n->fn();
-    if (trace_) trace_->OnEventEnd(n->when, n->seq);
-    best->pool.Release(n);
+  // Local-first at equal timestamps: the wheel only yields best_when if a
+  // local event is there; otherwise the inbox head is the candidate.
+  EventPool::Node* n;
+  if (best->wheel.PeekNextTime(best_when) == best_when) {
+    n = best->wheel.PopNext(best_when);
   } else {
-    HeapEvent ev = std::move(const_cast<HeapEvent&>(best->heap.top()));
-    best->heap.pop();
-    if (trace_) trace_->OnEventBegin(ev.when, ev.key);
-    ev.fn();
-    if (trace_) trace_->OnEventEnd(ev.when, ev.key);
+    n = best->inbox.top();
+    best->inbox.pop();
   }
+  if (trace_) trace_->OnEventBegin(n->when, n->seq);
+  n->fn();
+  if (trace_) trace_->OnEventEnd(n->when, n->seq);
+  best->pool.Release(n);
   executing_ = nullptr;
   return true;
 }

@@ -13,7 +13,8 @@
 
 namespace xssd::sim {
 
-/// \brief Hierarchical timer wheel: the fast scheduler backend.
+/// \brief Hierarchical timer wheel: the per-domain event queue of the
+/// Simulator.
 ///
 /// Eight levels of 64 slots each, so level k buckets events whose
 /// timestamp first differs from the current time in bit window
@@ -31,8 +32,10 @@ namespace xssd::sim {
 /// Determinism: events are totally ordered by (when, seq). A level-0
 /// bucket holds events of one exact timestamp in insertion order, and
 /// cascades/migrations preserve relative order of equal timestamps, so
-/// PopNext yields exactly the same sequence as the legacy binary heap —
-/// campaign metrics diff byte-for-byte across backends (CI enforces it).
+/// PopNext yields events in ascending (when, seq) order — the intra-domain
+/// part of the Simulator's canonical (when, domain, key) order, which the
+/// differential tests check against an independent priority-queue
+/// reference.
 class TimerWheel {
  public:
   static constexpr int kLevelBits = 6;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
+#include "core/page_format.h"
 #include "host/node.h"
 #include "host/xcalls.h"
 
@@ -159,6 +161,47 @@ TEST_F(VillarsDeviceTest, PowerFailThenRebootBumpsEpochAndHalts) {
   EXPECT_EQ(node_.device().epoch(), 1u);
   EXPECT_EQ(ReadRegister(kRegEpoch), 1u);
   EXPECT_EQ(ReadRegister(kRegLocalCredit), 0u);  // fresh fast side
+}
+
+// Reboot replaces each destage module while closures of the old one are
+// still pending: here its latency timer (a partial page waits for the
+// threshold) and a retry backoff (every flash program fails). The replaced
+// module must stay inert: running past both issues no flash traffic and
+// leaves the new epoch's destage stream untouched. (Under ASan this also
+// pins the lifetime: the closures capture the old module.)
+TEST(VillarsDeviceRebootTest, PendingTimerAndRetryBackoffOfOldModuleAreInert) {
+  sim::Simulator sim;
+  VillarsConfig config = SmallConfig();
+  config.destage.latency_threshold = sim::Ms(10);
+  config.destage.retry_backoff = sim::Us(50);
+  config.reliability.program_fail_rate = 1.0;
+  config.ftl.max_program_retries = 1;  // surface each failure to destage
+  host::StorageNode node(&sim, config, pcie::FabricConfig{}, "dut");
+  ASSERT_TRUE(node.Init().ok());
+
+  // One full page (issued at once, and failing) plus a remainder that arms
+  // the latency timer.
+  uint32_t capacity = DestagePayloadCapacity(node.device().ftl().page_bytes());
+  std::vector<uint8_t> data(capacity + 100, 0x5C);
+  host::x_pwrite(sim, node.client(), data.data(), data.size());
+  ASSERT_TRUE(sim.RunWhile(
+      [&]() { return node.device().destage().stats().write_retries > 0; }));
+  ASSERT_EQ(node.device().destage().stats().pages_written, 0u);
+  // Both closures are pending at the reboot: the 10 ms timer and the
+  // 50 us backoff.
+  ASSERT_LT(sim.Now(), sim::Ms(10));
+
+  uint64_t programs_before = node.device().flash_array().stats().programs;
+  node.device().Reboot();
+  sim.RunFor(sim::Ms(20));
+
+  EXPECT_EQ(node.device().flash_array().stats().programs, programs_before);
+  const DestageModule& fresh = node.device().destage();
+  EXPECT_EQ(fresh.destage_cursor(), 0u);
+  EXPECT_EQ(fresh.next_sequence(), 0u);
+  EXPECT_EQ(fresh.destaged(), 0u);
+  EXPECT_EQ(fresh.stats().write_retries, 0u);
+  EXPECT_EQ(node.device().epoch(), 1u);
 }
 
 TEST_F(VillarsDeviceTest, RingWindowIsReadable) {

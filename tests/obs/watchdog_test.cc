@@ -150,6 +150,30 @@ TEST_F(WatchdogWindowTest, MissingSeriesLeavesTheStreakUnchanged) {
   EXPECT_EQ(watchdog.alerts(), 0u);
 }
 
+TEST_F(WatchdogWindowTest, MisspeltMetricLeavesTheRuleUnbound) {
+  registry_.GetGauge("ftl.write_amp")->Set(1.0);
+  SloWatchdog watchdog;
+  SloRule typo;
+  typo.name = "typo";
+  typo.metric = "ftl.write_ampp";
+  watchdog.AddRule(typo);
+  SloRule spelt;
+  spelt.name = "spelt";
+  spelt.metric = "ftl.write_amp";
+  watchdog.AddRule(spelt);
+
+  TimeSeriesSampler sampler(&sim_, &registry_, {sim::Ms(1), 4096});
+  sampler.set_watchdog(&watchdog);
+  sampler.Start();
+  sim_.Schedule(sim::Ms(3) + sim::Us(10), [&]() {});
+  sim_.Run();
+  sampler.Finalize();
+
+  ASSERT_EQ(watchdog.rules().size(), 2u);
+  EXPECT_FALSE(watchdog.rules()[0].bound);
+  EXPECT_TRUE(watchdog.rules()[1].bound);
+}
+
 TEST_F(WatchdogWindowTest, FatalAlertsCountAndLandInTheFlightRecorder) {
   Gauge* depth = registry_.GetGauge("q.depth");
   depth->Set(100);

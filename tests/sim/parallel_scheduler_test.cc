@@ -1,5 +1,6 @@
 // Multi-domain scheduler tests: the conservative parallel backend against
-// the serial wheel/heap merges. The contract under test: with fabrics
+// the serial wheel merge and the independent reference queue
+// (reference_scheduler.h). The contract under test: with fabrics
 // partitioned into domains and a declared NTB lookahead, every domain
 // executes exactly the same local (when, id) sequence on every backend —
 // cross-domain events included — and the adversarial edges (cross arrival
@@ -20,6 +21,7 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "reference_scheduler.h"
 
 namespace xssd::sim {
 namespace {
@@ -32,7 +34,7 @@ constexpr SimTime kLookahead = 1000;
 // Per-domain execution log. Under the parallel backend each entry vector is
 // appended only by its own worker thread; a global interleaving is not
 // observable (and is not the contract) — the contract is that every domain
-// sees the same local sequence as the serial merges produce.
+// sees the same local sequence as the serial merge produces.
 struct DomainLog {
   Rng rng{0};
   std::vector<std::pair<SimTime, uint64_t>> fired;
@@ -41,8 +43,9 @@ struct DomainLog {
   uint64_t cross_sent = 0;
 };
 
+template <typename Sim>
 struct World {
-  Simulator* sim = nullptr;
+  Sim* sim = nullptr;
   std::array<DomainLog, kDomains> dom;
 
   void Record(uint32_t d, uint64_t id) {
@@ -50,15 +53,17 @@ struct World {
   }
 };
 
+template <typename Sim>
 struct Tail {
-  World* w;
+  World<Sim>* w;
   uint32_t d;
   uint64_t id;
   void operator()() const { w->Record(d, id); }
 };
 
+template <typename Sim>
 struct CrossArrival {
-  World* w;
+  World<Sim>* w;
   uint32_t d;
   uint64_t id;
   void operator()() const {
@@ -67,12 +72,13 @@ struct CrossArrival {
     // merge the target's wheel clock may already sit past this timestamp
     // (the arrival came through the inbox), so this exercises the
     // behind-the-clock insert path.
-    w->sim->Schedule(0, Tail{w, d, id + 1});
+    w->sim->Schedule(0, Tail<Sim>{w, d, id + 1});
   }
 };
 
+template <typename Sim>
 struct Chain {
-  World* w;
+  World<Sim>* w;
   uint32_t d;
   void operator()() const {
     DomainLog& log = w->dom[d];
@@ -82,7 +88,7 @@ struct Chain {
     uint64_t pick = log.rng.Uniform(100);
     if (pick < 10) {
       // Same-timestamp burst: zero-delay sibling with a later seq.
-      w->sim->Schedule(0, Tail{w, d, log.next_id++});
+      w->sim->Schedule(0, Tail<Sim>{w, d, log.next_id++});
     }
     if (pick >= 90) {
       uint32_t peer = (d + 1) % kDomains;
@@ -90,9 +96,9 @@ struct Chain {
       SimTime hop = kLookahead + (pick == 99 ? 0 : log.rng.Uniform(800));
       uint64_t cross_id =
           1000000000ull * (d + 1) + 2 * log.cross_sent++;
-      w->sim->ScheduleIn(peer, hop, CrossArrival{w, peer, cross_id});
+      w->sim->ScheduleIn(peer, hop, CrossArrival<Sim>{w, peer, cross_id});
     }
-    w->sim->Schedule(log.rng.Uniform(3000), Chain{w, d});
+    w->sim->Schedule(log.rng.Uniform(3000), Chain<Sim>{w, d});
   }
 };
 
@@ -103,19 +109,21 @@ struct RunResult {
   uint64_t cross = 0;
 };
 
-RunResult RunWorkload(Backend backend, uint64_t seed,
+// Runs the random multi-domain workload on `sim` (a Simulator of any
+// backend, or the ReferenceScheduler).
+template <typename Sim>
+RunResult RunWorkload(Sim& sim, uint64_t seed,
                       bool stuttered_run_until = false) {
-  Simulator sim(backend);
   sim.ConfigureDomains(kDomains);
   sim.DeclareLookahead(kLookahead);
-  World w;
+  World<Sim> w;
   w.sim = &sim;
   for (uint32_t d = 0; d < kDomains; ++d) {
     w.dom[d].rng = Rng(seed * 100 + d);
     w.dom[d].budget = 3000;
-    Simulator::DomainScope scope(&sim, d);
+    typename Sim::DomainScope scope(&sim, d);
     for (int i = 0; i < 32; ++i) {
-      sim.Schedule(w.dom[d].rng.Uniform(2000), Chain{&w, d});
+      sim.Schedule(w.dom[d].rng.Uniform(2000), Chain<Sim>{&w, d});
     }
   }
   if (stuttered_run_until) {
@@ -152,21 +160,27 @@ void ExpectSameResult(const RunResult& a, const RunResult& b,
   }
 }
 
+RunResult RunBackend(Backend backend, uint64_t seed, bool stuttered = false) {
+  Simulator sim(backend);
+  return RunWorkload(sim, seed, stuttered);
+}
+
 TEST(ParallelSchedulerTest, MatchesSerialBackendsOnRandomMultiDomainRuns) {
   for (uint64_t seed : {1u, 2u, 5u}) {
-    auto wheel = RunWorkload(Backend::kWheel, seed);
-    auto heap = RunWorkload(Backend::kHeap, seed);
-    auto par = RunWorkload(Backend::kParallel, seed);
-    ASSERT_GT(wheel.cross, 0u) << "workload sent no cross events";
-    ExpectSameResult(wheel, heap, "wheel-vs-heap seed " + std::to_string(seed));
-    ExpectSameResult(wheel, par, "wheel-vs-par seed " + std::to_string(seed));
+    ReferenceScheduler ref_sim;
+    auto ref = RunWorkload(ref_sim, seed);
+    auto wheel = RunBackend(Backend::kWheel, seed);
+    auto par = RunBackend(Backend::kParallel, seed);
+    ASSERT_GT(ref.cross, 0u) << "workload sent no cross events";
+    ExpectSameResult(ref, wheel, "ref-vs-wheel seed " + std::to_string(seed));
+    ExpectSameResult(ref, par, "ref-vs-par seed " + std::to_string(seed));
   }
 }
 
 TEST(ParallelSchedulerTest, MatchesSerialAcrossStutteredRunUntilSegments) {
   for (uint64_t seed : {3u, 11u}) {
-    auto wheel = RunWorkload(Backend::kWheel, seed, /*stuttered=*/true);
-    auto par = RunWorkload(Backend::kParallel, seed, /*stuttered=*/true);
+    auto wheel = RunBackend(Backend::kWheel, seed, /*stuttered=*/true);
+    auto par = RunBackend(Backend::kParallel, seed, /*stuttered=*/true);
     ExpectSameResult(wheel, par, "stuttered seed " + std::to_string(seed));
   }
 }
@@ -175,8 +189,7 @@ TEST(ParallelSchedulerTest, MatchesSerialAcrossStutteredRunUntilSegments) {
 // pre-existing local at the same timestamp: locals win the tie on every
 // backend, and the arrival time is exact.
 TEST(ParallelSchedulerTest, CrossAtExactLookaheadBoundaryTiesLocalFirst) {
-  for (Backend backend :
-       {Backend::kWheel, Backend::kHeap, Backend::kParallel}) {
+  for (Backend backend : {Backend::kWheel, Backend::kParallel}) {
     Simulator sim(backend);
     sim.ConfigureDomains(2);
     sim.DeclareLookahead(kLookahead);
@@ -203,8 +216,7 @@ TEST(ParallelSchedulerTest, CrossAtExactLookaheadBoundaryTiesLocalFirst) {
 // Zero-delay bursts scheduled from inside a cross arrival keep FIFO order
 // at one timestamp on every backend.
 TEST(ParallelSchedulerTest, ZeroDelayBurstFromCrossArrivalKeepsFifo) {
-  for (Backend backend :
-       {Backend::kWheel, Backend::kHeap, Backend::kParallel}) {
+  for (Backend backend : {Backend::kWheel, Backend::kParallel}) {
     Simulator sim(backend);
     sim.ConfigureDomains(2);
     sim.DeclareLookahead(kLookahead);
@@ -270,14 +282,14 @@ TEST(ParallelSchedulerTest, StopIsDeterministicAndResumable) {
     Simulator sim(backend);
     sim.ConfigureDomains(kDomains);
     sim.DeclareLookahead(kLookahead);
-    World w;
+    World<Simulator> w;
     w.sim = &sim;
     for (uint32_t d = 0; d < kDomains; ++d) {
       w.dom[d].rng = Rng(kSeed * 100 + d);
       w.dom[d].budget = 800;
       Simulator::DomainScope scope(&sim, d);
       for (int i = 0; i < 16; ++i) {
-        sim.Schedule(w.dom[d].rng.Uniform(2000), Chain{&w, d});
+        sim.Schedule(w.dom[d].rng.Uniform(2000), Chain<Simulator>{&w, d});
       }
     }
     {

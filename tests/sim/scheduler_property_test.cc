@@ -1,16 +1,17 @@
-// Adversarial scheduler properties, parameterized over all three backends.
-// The timer wheel and the parallel backend must be indistinguishable from
-// the legacy binary heap: same (when, seq) total order, same clock
-// semantics at bucket edges, same Stop()/resume behavior — plus wheel-only
-// guarantees (allocation-free steady state) and the past-schedule clamp
-// contract. (On these single-domain schedules the parallel backend runs
-// its serial merge; the multi-domain worker paths are covered by
-// parallel_scheduler_test.cc.)
+// Adversarial scheduler properties, parameterized over both backends: the
+// canonical (when, seq) total order, clock semantics at bucket edges,
+// Stop()/resume behavior, the past-schedule clamp contract and the
+// allocation-free steady state — plus a differential check of both
+// backends against the independent reference queue in
+// reference_scheduler.h. (On these single-domain schedules the parallel
+// backend runs its serial merge; the multi-domain worker paths are covered
+// by parallel_scheduler_test.cc.)
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "sim/timer_wheel.h"
+#include "reference_scheduler.h"
 
 namespace xssd::sim {
 namespace {
@@ -35,14 +37,7 @@ constexpr SimTime kHorizon = SimTime{1} << TimerWheel::kHorizonBits;
 class SchedulerPropertyTest : public ::testing::TestWithParam<Backend> {};
 
 std::string BackendName(const ::testing::TestParamInfo<Backend>& info) {
-  switch (info.param) {
-    case Backend::kHeap:
-      return "heap";
-    case Backend::kParallel:
-      return "parallel";
-    default:
-      return "wheel";
-  }
+  return info.param == Backend::kParallel ? "parallel" : "wheel";
 }
 
 TEST_P(SchedulerPropertyTest, FifoAcrossBucketBoundaries) {
@@ -181,12 +176,18 @@ TEST_P(SchedulerPropertyTest, PastScheduleClampsToNowWithCounter) {
 }
 
 // Differential property: a randomized schedule — bursts of equal
-// timestamps, nested scheduling from callbacks, occasional far-future and
-// beyond-horizon targets, interleaved RunUntil segments — must produce an
-// identical execution sequence on both backends.
-std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(Backend backend,
+// timestamps (every fifth one clamped from the past), nested scheduling
+// from callbacks, occasional far-future and beyond-horizon targets,
+// interleaved RunUntil segments — must produce the reference queue's
+// execution sequence, and its clock after every segment, on every backend.
+constexpr uint64_t kClockMark = ~uint64_t{0};  // fired-log id of a Now()
+
+template <typename Sim>
+std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(Sim& sim,
                                                             uint64_t seed) {
-  Simulator sim(backend);
+  if constexpr (std::is_same_v<Sim, Simulator>) {
+    sim.set_allow_past_schedules(true);
+  }
   Rng rng(seed);
   std::vector<std::pair<SimTime, uint64_t>> fired;
   uint64_t next_id = 0;
@@ -213,6 +214,7 @@ std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(Backend backend,
         if (rng.Uniform(8) == 0) {
           // Same-timestamp burst scheduled from inside a callback.
           SimTime at = sim.Now() + rng.Uniform(96);
+          if (id % 5 == 0) at = at > 128 ? at - 128 : 0;  // in the past
           for (int b = 0; b < 4; ++b) {
             uint64_t bid = 1000000 + id * 8 + static_cast<uint64_t>(b);
             sim.ScheduleAt(at, [&fired, &sim, bid]() {
@@ -230,6 +232,7 @@ std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(Backend backend,
   for (int i = 0; i < 200 && !sim.empty(); ++i) {
     t += rng.Uniform(2 * kLevel1Span) + 1;
     sim.RunUntil(t);
+    fired.push_back({sim.Now(), kClockMark});
   }
   sim.Run();
   return fired;
@@ -237,14 +240,23 @@ std::vector<std::pair<SimTime, uint64_t>> RunRandomSchedule(Backend backend,
 
 TEST(SchedulerDifferentialTest, AllBackendsMatchOnRandomSchedules) {
   for (uint64_t seed : {1u, 2u, 3u, 7u, 42u}) {
-    auto wheel = RunRandomSchedule(Backend::kWheel, seed);
-    auto heap = RunRandomSchedule(Backend::kHeap, seed);
-    auto par = RunRandomSchedule(Backend::kParallel, seed);
-    ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
-    ASSERT_EQ(wheel.size(), par.size()) << "seed " << seed;
-    for (size_t i = 0; i < wheel.size(); ++i) {
-      ASSERT_EQ(wheel[i], heap[i]) << "seed " << seed << " event " << i;
-      ASSERT_EQ(wheel[i], par[i]) << "seed " << seed << " event " << i;
+    ReferenceScheduler ref_sim;
+    auto ref = RunRandomSchedule(ref_sim, seed);
+    ASSERT_GT(ref_sim.past_schedule_clamps(), 0u) << "seed " << seed;
+    for (Backend backend : {Backend::kWheel, Backend::kParallel}) {
+      Simulator sim(backend);
+      auto got = RunRandomSchedule(sim, seed);
+      const char* name = backend == Backend::kWheel ? "wheel" : "parallel";
+      ASSERT_EQ(got.size(), ref.size()) << name << " seed " << seed;
+      for (size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(got[i], ref[i])
+            << name << " seed " << seed << " event " << i;
+      }
+      EXPECT_EQ(sim.Now(), ref_sim.Now()) << name << " seed " << seed;
+      EXPECT_EQ(sim.past_schedule_clamps(), ref_sim.past_schedule_clamps())
+          << name << " seed " << seed;
+      EXPECT_EQ(sim.executed_events(), ref_sim.executed_events())
+          << name << " seed " << seed;
     }
   }
 }
@@ -304,7 +316,7 @@ TEST(EventFnTest, LargeCapturesSpillToHeapAndStillRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SchedulerPropertyTest,
-                         ::testing::Values(Backend::kWheel, Backend::kHeap,
+                         ::testing::Values(Backend::kWheel,
                                            Backend::kParallel),
                          BackendName);
 

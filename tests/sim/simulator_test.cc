@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 namespace xssd::sim {
@@ -105,6 +106,38 @@ TEST(Simulator, ExecutedEventCountAccumulates) {
   for (int i = 0; i < 7; ++i) sim.Schedule(i, []() {});
   sim.Run();
   EXPECT_EQ(sim.executed_events(), 7u);
+}
+
+TEST(Simulator, ParseBackendAcceptsOnlyWheelAndParallel) {
+  using Backend = Simulator::SchedulerBackend;
+  Backend got = Backend::kParallel;
+  EXPECT_TRUE(Simulator::ParseBackend(nullptr, &got));
+  EXPECT_EQ(got, Backend::kWheel);
+  got = Backend::kParallel;
+  EXPECT_TRUE(Simulator::ParseBackend("", &got));
+  EXPECT_EQ(got, Backend::kWheel);
+  EXPECT_TRUE(Simulator::ParseBackend("wheel", &got));
+  EXPECT_EQ(got, Backend::kWheel);
+  EXPECT_TRUE(Simulator::ParseBackend("parallel", &got));
+  EXPECT_EQ(got, Backend::kParallel);
+  for (const char* bad : {"heap", "bogus", "Wheel", "wheel ", "parallel2"}) {
+    EXPECT_FALSE(Simulator::ParseBackend(bad, &got)) << bad;
+  }
+}
+
+// DefaultBackend() reads the environment once per process, so each case
+// runs in a freshly exec'd child ("threadsafe" death-test style).
+TEST(SimulatorDeathTest, UnknownSchedulerEnvIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"heap", "bogus"}) {
+    EXPECT_DEATH(
+        {
+          setenv("XSSD_SIM_SCHEDULER", bad, 1);
+          Simulator::DefaultBackend();
+        },
+        "unknown XSSD_SIM_SCHEDULER=.*accepted: wheel, parallel")
+        << bad;
+  }
 }
 
 TEST(SimTime, UnitHelpers) {
