@@ -1,6 +1,7 @@
 #ifndef XSSD_BENCH_BENCH_UTIL_H_
 #define XSSD_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +49,18 @@ inline pcie::FabricConfig PaperFabricConfig() {
   return config;
 }
 
+/// Strict unsigned decimal: digits only (no sign, space or suffix), no
+/// overflow. The one parser for every integer bench flag.
+inline bool ParseU64(const std::string& text, uint64_t* out) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  *out = std::strtoull(text.c_str(), nullptr, 10);
+  return errno == 0;
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
@@ -92,12 +105,14 @@ class BenchReporter {
  public:
   BenchReporter(int argc, char** argv, const std::string& name,
                 BenchFlags bench_flags = {})
-      : name_(name), metrics_path_(name + ".metrics.json") {
-    auto fail = [&](const std::string& error) {
-      UsageExit(argv[0], bench_flags, error);
-    };
+      : name_(name),
+        argv0_(argv[0]),
+        bench_flags_(std::move(bench_flags)),
+        metrics_path_(name + ".metrics.json") {
     auto value = [&](int* i) -> std::string {
-      if (*i + 1 >= argc) fail(std::string(argv[*i]) + " needs a value");
+      if (*i + 1 >= argc) {
+        UsageExit(std::string(argv[*i]) + " needs a value");
+      }
       return argv[++*i];
     };
     auto listed = [](const std::vector<std::string>& flags,
@@ -119,13 +134,7 @@ class BenchReporter {
       } else if (arg == "--timeseries") {
         timeseries_path_ = value(&i);
       } else if (arg == "--ts-interval-us") {
-        std::string text = value(&i);
-        ts_interval_us_ = std::strtoull(text.c_str(), nullptr, 10);
-        if (text.find_first_not_of("0123456789") != std::string::npos ||
-            ts_interval_us_ == 0) {
-          fail("--ts-interval-us needs a positive integer, got '" + text +
-               "'");
-        }
+        ts_interval_us_ = U64Flag("--ts-interval-us", value(&i), 1);
       } else if (arg == "--slo") {
         std::string path = value(&i);
         Status status = LoadSloFile(path);
@@ -137,15 +146,15 @@ class BenchReporter {
       } else if (arg == "--flightrec") {
         flightrec_path_ = value(&i);
         flightrec_.set_dump_path(flightrec_path_);
-      } else if (listed(bench_flags.values, arg)) {
+      } else if (listed(bench_flags_.values, arg)) {
         positional_.push_back(arg);
         positional_.push_back(value(&i));
-      } else if (listed(bench_flags.switches, arg)) {
+      } else if (listed(bench_flags_.switches, arg)) {
         positional_.push_back(std::move(arg));
       } else if (arg.rfind("--", 0) == 0) {
-        fail("unknown flag " + arg);
-      } else if (bench_flags.positional.empty()) {
-        fail("unexpected argument " + arg);
+        UsageExit("unknown flag " + arg);
+      } else if (bench_flags_.positional.empty()) {
+        UsageExit("unexpected argument " + arg);
       } else {
         positional_.push_back(std::move(arg));
       }
@@ -155,6 +164,37 @@ class BenchReporter {
 
   obs::MetricsRegistry& registry() { return registry_; }
   const std::vector<std::string>& positional() const { return positional_; }
+
+  /// Print `error` and the usage line, then exit with status 2. For a bench
+  /// that rejects one of its own flags' values.
+  [[noreturn]] void UsageExit(const std::string& error) const {
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--metrics PATH] [--trace PATH] "
+                 "[--breakdown PATH] [--timeseries PATH] "
+                 "[--ts-interval-us N] [--slo PATH] [--flightrec PATH]",
+                 argv0_.c_str(), error.c_str(), argv0_.c_str());
+    for (const std::string& flag : bench_flags_.values) {
+      std::fprintf(stderr, " [%s V]", flag.c_str());
+    }
+    for (const std::string& flag : bench_flags_.switches) {
+      std::fprintf(stderr, " [%s]", flag.c_str());
+    }
+    std::fprintf(stderr, "%s%s\n", bench_flags_.positional.empty() ? "" : " ",
+                 bench_flags_.positional.c_str());
+    std::exit(2);
+  }
+
+  /// The value of integer flag `flag`, given as `text`: a strict unsigned
+  /// decimal (ParseU64) of at least `min`, or usage and exit 2.
+  uint64_t U64Flag(const std::string& flag, const std::string& text,
+                   uint64_t min = 0) const {
+    uint64_t v = 0;
+    if (!ParseU64(text, &v) || v < min) {
+      UsageExit(flag + " needs an integer >= " + std::to_string(min) +
+                ", got '" + text + "'");
+    }
+    return v;
+  }
 
   /// Hook the trace writer (if --trace was given) into `sim`, grouping the
   /// run's events under `run_label` in the viewer.
@@ -374,25 +414,6 @@ class BenchReporter {
     std::unique_ptr<obs::TimeSeriesSampler> sampler;
   };
 
-  [[noreturn]] static void UsageExit(const char* argv0,
-                                     const BenchFlags& bench_flags,
-                                     const std::string& error) {
-    std::fprintf(stderr,
-                 "%s: %s\nusage: %s [--metrics PATH] [--trace PATH] "
-                 "[--breakdown PATH] [--timeseries PATH] "
-                 "[--ts-interval-us N] [--slo PATH] [--flightrec PATH]",
-                 argv0, error.c_str(), argv0);
-    for (const std::string& flag : bench_flags.values) {
-      std::fprintf(stderr, " [%s V]", flag.c_str());
-    }
-    for (const std::string& flag : bench_flags.switches) {
-      std::fprintf(stderr, " [%s]", flag.c_str());
-    }
-    std::fprintf(stderr, "%s%s\n", bench_flags.positional.empty() ? "" : " ",
-                 bench_flags.positional.c_str());
-    std::exit(2);
-  }
-
   Status LoadSloFile(const std::string& path) {
     std::ifstream in(path);
     if (!in) return Status::IoError("cannot open " + path);
@@ -407,6 +428,8 @@ class BenchReporter {
   }
 
   std::string name_;
+  std::string argv0_;
+  BenchFlags bench_flags_;
   std::string metrics_path_;
   std::string trace_path_;
   std::string breakdown_path_;

@@ -78,11 +78,11 @@ int Main(int argc, char** argv) {
   const auto& args = reporter.positional();
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--seed" && i + 1 < args.size()) {
-      first_seed = std::stoull(args[++i]);
+      first_seed = reporter.U64Flag("--seed", args[++i]);
     } else if (args[i] == "--runs" && i + 1 < args.size()) {
-      runs = std::stoul(args[++i]);
+      runs = reporter.U64Flag("--runs", args[++i], 1);
     } else if (args[i] == "--ops" && i + 1 < args.size()) {
-      ops = std::stoul(args[++i]);
+      ops = reporter.U64Flag("--ops", args[++i], 1);
     } else if (args[i] == "--shrink") {
       shrink = true;
     } else if (args[i] == "--plant-bug") {

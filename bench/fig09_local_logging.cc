@@ -35,6 +35,7 @@ struct RunResult {
   double mean_latency_us;
   double p50_us;
   double p99_us;
+  uint64_t latency_samples;
 };
 
 enum class Method { kNoLog, kNvdimm, kNvme, kVillarsSram, kVillarsDram };
@@ -113,7 +114,7 @@ RunResult RunOne(Method method, uint32_t workers, sim::SimTime measure,
 
   RunResult r{result.txns_per_sec, result.latency_us.Mean(),
               result.latency_us.Percentile(50),
-              result.latency_us.Percentile(99)};
+              result.latency_us.Percentile(99), result.latency_us.count()};
   std::string label = RunLabel(method, workers);
   reporter->SetResult(label, "txns_per_sec", r.txns_per_sec);
   reporter->SetResult(label, "mean_latency_us", r.mean_latency_us);
@@ -131,23 +132,15 @@ int main(int argc, char** argv) {
                                {.positional = "[measure_ms]"});
   sim::SimTime measure = sim::Ms(400);
   const std::vector<std::string>& args = reporter.positional();
+  if (args.size() > 1) reporter.UsageExit("unexpected argument " + args[1]);
   if (!args.empty()) {
-    const std::string& text = args[0];
-    uint64_t ms = std::strtoull(text.c_str(), nullptr, 10);
-    if (args.size() > 1 || ms == 0 ||
-        text.find_first_not_of("0123456789") != std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: fig09_local_logging [measure_ms] "
-                   "[--metrics out.json]\n  measure_ms must be a positive "
-                   "integer\n");
-      return 2;
-    }
-    measure = sim::Ms(ms);
+    measure = sim::Ms(reporter.U64Flag("measure_ms", args[0], 1));
   }
 
   bench::PrintHeader("Figure 9: logging to local storage (TPC-C, 16 WH)");
   std::printf("%-14s %8s %14s %12s %10s %10s\n", "method", "workers",
               "txn/s", "mean_lat_us", "p50_us", "p99_us");
+  std::vector<std::string> empty_runs;
   for (Method method :
        {Method::kNoLog, Method::kNvdimm, Method::kNvme,
         Method::kVillarsSram, Method::kVillarsDram}) {
@@ -156,7 +149,19 @@ int main(int argc, char** argv) {
       std::printf("%-14s %8u %14.0f %12.1f %10.1f %10.1f\n",
                   MethodName(method), workers, r.txns_per_sec,
                   r.mean_latency_us, r.p50_us, r.p99_us);
+      if (r.txns_per_sec == 0 || r.latency_samples == 0) {
+        empty_runs.push_back(RunLabel(method, workers));
+      }
     }
   }
-  return reporter.Finish();
+  int rc = reporter.Finish();
+  // A window too short for a run to complete a commit yields a row with no
+  // latency at all; the figure is meaningless, so fail instead of exit 0.
+  for (const std::string& label : empty_runs) {
+    std::fprintf(stderr,
+                 "fig09: run %s recorded no commits or no latency samples "
+                 "in its measured window; use a longer measure_ms\n",
+                 label.c_str());
+  }
+  return empty_runs.empty() ? rc : 1;
 }

@@ -19,7 +19,9 @@
 // metric snapshots (CI diffs them).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -342,9 +344,16 @@ int main(int argc, char** argv) {
   const std::vector<std::string>& args = reporter.positional();
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = reporter.U64Flag("--seed", args[++i]);
     } else if (args[i] == "--p99-bound-us" && i + 1 < args.size()) {
-      p99_bound_us = std::strtod(args[++i].c_str(), nullptr);
+      const std::string& text = args[++i];
+      char* end = nullptr;
+      p99_bound_us = std::strtod(text.c_str(), &end);
+      if (text.empty() || *end != '\0' || !(p99_bound_us > 0) ||
+          !std::isfinite(p99_bound_us)) {
+        reporter.UsageExit("--p99-bound-us needs a positive number, got '" +
+                           text + "'");
+      }
     } else {
       std::fprintf(stderr,
                    "usage: ftl_campaign [--seed N] [--p99-bound-us X] "

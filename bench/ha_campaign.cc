@@ -494,7 +494,7 @@ int main(int argc, char** argv) {
     if (args[i] == "--plan" && i + 1 < args.size()) {
       plan_arg = args[++i];
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = reporter.U64Flag("--seed", args[++i]);
     } else {
       std::fprintf(stderr,
                    "usage: ha_campaign [--plan name|path] [--seed N] "

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -29,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "sim/event_pool.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -324,17 +324,6 @@ void WriteStats(FILE* f, const char* backend, const MixStats& s) {
   std::exit(2);
 }
 
-// Strict unsigned decimal: digits only, no overflow.
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  *out = std::strtoull(text.c_str(), nullptr, 10);
-  return errno == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -356,13 +345,13 @@ int main(int argc, char** argv) {
       if (out_path.empty()) UsageExit(argv[0], "--out needs a path");
     } else if (arg == "--events") {
       std::string text = value();
-      if (!ParseU64(text, &events) || events == 0) {
+      if (!xssd::bench::ParseU64(text, &events) || events == 0) {
         UsageExit(argv[0], "--events needs a positive integer, got '" +
                                text + "'");
       }
     } else if (arg == "--seed") {
       std::string text = value();
-      if (!ParseU64(text, &seed)) {
+      if (!xssd::bench::ParseU64(text, &seed)) {
         UsageExit(argv[0], "--seed needs an unsigned integer, got '" + text +
                                "'");
       }

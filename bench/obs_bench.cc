@@ -22,9 +22,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "bench_util.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -138,18 +138,28 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_obs.json";
   uint64_t events = 2000000;
   uint64_t seed = 1;
+  auto usage = [](const std::string& error) {
+    std::fprintf(stderr,
+                 "obs_bench: %s\nusage: obs_bench [--out BENCH_obs.json] "
+                 "[--events N] [--seed S]\n",
+                 error.c_str());
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      events = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: obs_bench [--out BENCH_obs.json] [--events N] "
-                   "[--seed S]\n");
-      return 2;
+    std::string arg = argv[i];
+    if (arg != "--out" && arg != "--events" && arg != "--seed") {
+      return usage("unknown argument " + arg);
+    }
+    if (i + 1 >= argc) return usage(arg + " needs a value");
+    std::string text = argv[++i];
+    if (arg == "--out") {
+      out_path = text;
+    } else if (arg == "--events") {
+      if (!bench::ParseU64(text, &events) || events == 0) {
+        return usage("--events needs a positive integer, got '" + text + "'");
+      }
+    } else if (!bench::ParseU64(text, &seed)) {
+      return usage("--seed needs an unsigned integer, got '" + text + "'");
     }
   }
 

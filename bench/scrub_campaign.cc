@@ -373,7 +373,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string>& args = reporter.positional();
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = reporter.U64Flag("--seed", args[++i]);
     } else {
       std::fprintf(stderr,
                    "usage: scrub_campaign [--seed N] [--metrics out.json]\n");

@@ -1,5 +1,6 @@
 #include "pcie/fabric.h"
 
+#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.h"
@@ -33,7 +34,10 @@ PcieFabric::PcieFabric(sim::Simulator* sim, FabricConfig config,
       upstream_(sim, link_bytes_per_sec_),
       peer_(sim, link_bytes_per_sec_),
       host_memory_port_(sim, config.host_memory_bytes_per_sec),
-      host_memory_(config.host_memory_bytes, 0) {}
+      host_memory_size_(config.host_memory_bytes) {
+  host_memory_.reset(static_cast<uint8_t*>(std::calloc(host_memory_size_, 1)));
+  XSSD_CHECK(host_memory_ != nullptr || host_memory_size_ == 0);
+}
 
 void PcieFabric::SetMetrics(obs::MetricsRegistry* registry,
                             const std::string& prefix) {
@@ -158,14 +162,14 @@ void PcieFabric::HostRead(uint64_t addr, size_t len,
 void PcieFabric::DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
                            sim::Simulator::Callback done) {
   CheckDomain();
-  XSSD_CHECK(host_addr + len <= host_memory_.size());
+  XSSD_CHECK(host_addr + len <= host_memory_size_);
   if (m_dma_to_host_bytes_) m_dma_to_host_bytes_->Add(len);
   std::vector<uint8_t> copy(data, data + len);
   sim::SimTime link_done =
       upstream_.Acquire(WireBytesFor(len, kMaxPayloadBytes));
   sim_->ScheduleAt(link_done, [this, host_addr, copy = std::move(copy),
                                done = std::move(done)]() mutable {
-    std::memcpy(host_memory_.data() + host_addr, copy.data(), copy.size());
+    std::memcpy(host_memory_.get() + host_addr, copy.data(), copy.size());
     host_memory_port_.Acquire(copy.size(), std::move(done));
   });
 }
@@ -173,15 +177,15 @@ void PcieFabric::DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
 void PcieFabric::DmaFromHost(uint64_t host_addr, size_t len,
                              std::function<void(std::vector<uint8_t>)> done) {
   CheckDomain();
-  XSSD_CHECK(host_addr + len <= host_memory_.size());
+  XSSD_CHECK(host_addr + len <= host_memory_size_);
   if (m_dma_from_host_bytes_) m_dma_from_host_bytes_->Add(len);
   // Read request downstream is negligible; charge memory port + upstream
   // completion stream.
   sim::SimTime mem_done = host_memory_port_.Acquire(len);
   sim_->ScheduleAt(mem_done, [this, host_addr, len,
                               done = std::move(done)]() mutable {
-    std::vector<uint8_t> data(host_memory_.begin() + host_addr,
-                              host_memory_.begin() + host_addr + len);
+    const uint8_t* src = host_memory_.get() + host_addr;
+    std::vector<uint8_t> data(src, src + len);
     sim::SimTime link_done =
         downstream_.Acquire(WireBytesFor(len, kMaxPayloadBytes));
     sim_->ScheduleAt(

@@ -2,6 +2,7 @@
 #define XSSD_PCIE_FABRIC_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -44,7 +45,9 @@ struct FabricConfig {
   int lanes = 4;               ///< ×4 → 2 GB/s, as in the paper's setup
   sim::SimTime propagation = sim::Ns(250);   ///< one-way switch+wire latency
   sim::SimTime read_turnaround = sim::Ns(400);  ///< device read service time
-  uint64_t host_memory_bytes = 64ull << 20;  ///< simulated host DRAM image
+  /// Simulated host DRAM image. Demand-zero: a page costs host memory only
+  /// once DMA or the driver first writes it, so the size is nearly free.
+  uint64_t host_memory_bytes = 64ull << 20;
   double host_memory_bytes_per_sec = 12e9;   ///< DDR bandwidth for DMA
   /// Scheduler domain this fabric (and every device on it) belongs to —
   /// the partitioning unit of the parallel backend. All traffic must enter
@@ -56,7 +59,8 @@ struct FabricConfig {
 };
 
 /// \brief One host's PCIe subsystem: an address map of BAR regions, shared
-/// bandwidth in both directions, and a flat host-memory image for DMA.
+/// bandwidth in both directions, and a flat, demand-zero host-memory image
+/// for DMA.
 ///
 /// This plays the role of the root complex + switch in Figure 2 of the
 /// paper. Hosts issue MMIO reads/writes downstream; devices issue DMA
@@ -112,8 +116,8 @@ class PcieFabric {
 
   // -- Host memory image ----------------------------------------------------
 
-  uint8_t* host_memory() { return host_memory_.data(); }
-  uint64_t host_memory_size() const { return host_memory_.size(); }
+  uint8_t* host_memory() { return host_memory_.get(); }
+  uint64_t host_memory_size() const { return host_memory_size_; }
 
   sim::Simulator* simulator() { return sim_; }
   const FabricConfig& config() const { return config_; }
@@ -189,8 +193,16 @@ class PcieFabric {
   sim::BandwidthServer peer_;
   sim::BandwidthServer host_memory_port_;
 
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+
   std::vector<Region> regions_;
-  std::vector<uint8_t> host_memory_;
+  // calloc, never a value-initialised container: glibc serves a request
+  // this large from fresh mmap pages without a memset, so a page is
+  // faulted in only when first written (NodeFootprint tests this).
+  std::unique_ptr<uint8_t[], FreeDeleter> host_memory_;
+  uint64_t host_memory_size_;
 
   // Observability (null until SetMetrics).
   obs::Counter* m_host_write_bytes_ = nullptr;

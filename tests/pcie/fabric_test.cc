@@ -135,6 +135,37 @@ TEST_F(FabricTest, DmaRoundTrip) {
   EXPECT_EQ(std::memcmp(read_back.data(), payload, 256), 0);
 }
 
+TEST_F(FabricTest, FreshHostImageReadsZero) {
+  const uint64_t size = fabric_.host_memory_size();
+  ASSERT_EQ(size, FabricConfig{}.host_memory_bytes);
+  const uint8_t* image = fabric_.host_memory();
+  EXPECT_EQ(image[0], 0);
+  EXPECT_EQ(image[size / 2], 0);
+  EXPECT_EQ(image[size - 1], 0);
+}
+
+TEST_F(FabricTest, DmaFromNeverWrittenRangeReturnsZeros) {
+  const uint64_t addr = fabric_.host_memory_size() / 2 + 123;
+  std::vector<uint8_t> got;
+  fabric_.DmaFromHost(addr, 8192, [&](std::vector<uint8_t> data) {
+    got = std::move(data);
+  });
+  sim_.Run();
+  EXPECT_EQ(got, std::vector<uint8_t>(8192, 0));
+}
+
+TEST_F(FabricTest, DmaToHostEndingAtImageEndLands) {
+  uint8_t payload[64];
+  for (int i = 0; i < 64; ++i) payload[i] = static_cast<uint8_t>(0xC0 + i);
+  const uint64_t addr = fabric_.host_memory_size() - sizeof(payload);
+  bool wrote = false;
+  fabric_.DmaToHost(addr, payload, sizeof(payload), [&]() { wrote = true; });
+  sim_.Run();
+  ASSERT_TRUE(wrote);
+  const uint8_t* landed = fabric_.host_memory() + addr;
+  EXPECT_EQ(std::memcmp(landed, payload, sizeof(payload)), 0);
+}
+
 TEST_F(FabricTest, FunctionalAccessorsBypassTiming) {
   uint8_t value = 0x77;
   EXPECT_TRUE(fabric_.FunctionalWrite(0x1400, &value, 1).ok());
