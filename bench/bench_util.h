@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -61,6 +62,54 @@ inline bool ParseU64(const std::string& text, uint64_t* out) {
   return errno == 0;
 }
 
+/// A checked-in floor file (bench/baselines/*_floor.json, given as
+/// --floor PATH): the numeric value of each dotted key in `keys`
+/// ("min_events_per_sec.uniform"). Fails on a missing file, malformed JSON
+/// or a missing or non-numeric key.
+inline xssd::Result<std::map<std::string, double>> ReadFloor(
+    const std::string& path, const std::vector<std::string>& keys) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  xssd::Result<obs::JsonValue> doc = obs::ParseJson(text.str());
+  if (!doc.ok()) return doc.status();
+  std::map<std::string, double> floor;
+  for (const std::string& key : keys) {
+    const obs::JsonValue* value = &*doc;
+    for (size_t begin = 0; value != nullptr;) {
+      size_t dot = key.find('.', begin);
+      value = value->Find(std::string_view(key).substr(begin, dot - begin));
+      if (dot == std::string::npos) break;
+      begin = dot + 1;
+    }
+    if (value == nullptr || !value->is_number()) {
+      return Status::InvalidArgument(path + ": no numeric " + key);
+    }
+    floor[key] = value->number;
+  }
+  return floor;
+}
+
+/// \brief A bench's pass/fail verdict: the one way a bench gates its own
+/// results. Check names each failed gate on stderr and counts it; any
+/// failure makes the bench exit 1 (BenchReporter::Finish, or ExitCode()
+/// in the benches that write their own JSON).
+class Gates {
+ public:
+  void Check(bool ok, std::string_view what) {
+    if (ok) return;
+    std::fprintf(stderr, "GATE FAILED: %.*s\n", static_cast<int>(what.size()),
+                 what.data());
+    ++failures_;
+  }
+  int failures() const { return failures_; }
+  int ExitCode() const { return failures_ == 0 ? 0 : 1; }
+
+ private:
+  int failures_ = 0;
+};
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
@@ -101,6 +150,11 @@ struct BenchFlags {
 /// Device counters accumulate across every run the bench performs; per-run
 /// headline numbers go in as `bench.<name>.*` gauges via SetResult(), so
 /// the snapshot carries both the raw device view and the figure's table.
+///
+/// The bench's verdict is Finish()'s return value: 1 when an export
+/// failed or any gate failed, whether the bench's own Check() or one
+/// Finish applies to what it writes (breakdown conservation and shape, a
+/// trace or time series that recorded nothing, fatal or unbound SLO rules).
 class BenchReporter {
  public:
   BenchReporter(int argc, char** argv, const std::string& name,
@@ -270,6 +324,16 @@ class BenchReporter {
     return total;
   }
 
+  /// Gate one result: a failure prints `what` and makes Finish() return 1.
+  void Check(bool ok, std::string_view what) { gates_.Check(ok, what); }
+  int gate_failures() const { return gates_.failures(); }
+
+  /// Stages (`<node>/<stage>` suffixes, e.g. "cmb.stage") that a
+  /// --breakdown report must attribute time to in some run.
+  void ExpectBreakdownStages(std::vector<std::string> stages) {
+    expected_stages_ = std::move(stages);
+  }
+
   /// Record one headline result as a gauge named
   /// "bench.<name>.<label>.<field>".
   void SetResult(const std::string& label, const std::string& field,
@@ -283,9 +347,8 @@ class BenchReporter {
   }
 
   /// Write the metrics snapshot (and the trace / time series / flight
-  /// recorder, when recording). Call once at the end of main(). Returns
-  /// non-zero on export failures, on any fatal SLO alert and on any SLO
-  /// rule that never bound to a series.
+  /// recorder, when recording). Call once at the end of main(); its
+  /// return value is the bench's exit status (see the class comment).
   int Finish() {
     if (flag_error_) return 1;
     // Close trailing partial windows before exporting anything: samplers
@@ -315,15 +378,14 @@ class BenchReporter {
       }
       std::printf("breakdown: %s (%llu requests)\n", breakdown_path_.c_str(),
                   static_cast<unsigned long long>(breakdown.request_count()));
-      if (breakdown.conservation_violations() > 0) {
-        // The invariant every consumer of the report relies on: attributed
-        // segments partition each request's end-to-end latency exactly.
-        std::fprintf(stderr,
-                     "breakdown conservation violated for %llu requests\n",
-                     static_cast<unsigned long long>(
-                         breakdown.conservation_violations()));
-        return 1;
-      }
+      // The invariant every consumer of the report relies on: attributed
+      // segments partition each request's end-to-end latency exactly.
+      Check(breakdown.conservation_violations() == 0,
+            "breakdown conservation violated for " +
+                std::to_string(breakdown.conservation_violations()) +
+                " requests");
+      Check(breakdown.request_count() > 0, "breakdown traced no requests");
+      CheckBreakdownStages(breakdown);
     }
     if (!timeseries_path_.empty()) {
       std::string doc = "{\"schema\": \"xssd.timeseries.v1\", \"bench\": \"" +
@@ -348,6 +410,7 @@ class BenchReporter {
       for (const TsRun& run : ts_runs_) windows += run.sampler->windows();
       std::printf("timeseries: %s (%zu runs, %zu windows)\n",
                   timeseries_path_.c_str(), ts_runs_.size(), windows);
+      Check(windows > 0, "time series closed no windows");
     }
     if (!flightrec_path_.empty()) {
       status = flightrec_.DumpToFile(flightrec_path_, "bench exit");
@@ -370,6 +433,7 @@ class BenchReporter {
       std::printf("trace: %s (%zu events, %llu dropped)\n",
                   trace_path_.c_str(), trace_->event_count(),
                   static_cast<unsigned long long>(trace_->dropped()));
+      Check(trace_->event_count() > 0, "trace recorded no events");
     }
     uint64_t fatal = 0;
     // Every run's watchdog holds a prefix of slo_rules_, in order.
@@ -382,20 +446,15 @@ class BenchReporter {
         if (rules[r].bound) bound[r] = true;
       }
     }
-    size_t unbound = 0;
     for (size_t r = 0; r < slo_rules_.size(); ++r) {
-      if (bound[r]) continue;
-      ++unbound;
-      std::fprintf(stderr,
-                   "SLO rule %s: metric %s never produced a series in any "
-                   "window (misspelt?)\n",
-                   slo_rules_[r].name.c_str(), slo_rules_[r].metric.c_str());
+      Check(bound[r], "SLO rule " + slo_rules_[r].name + ": metric " +
+                          slo_rules_[r].metric +
+                          " never produced a series in any window (misspelt?)");
     }
-    if (fatal > 0 || unbound > 0) {
-      std::fprintf(stderr,
-                   "%llu fatal SLO alert(s), %zu unbound SLO rule(s) — "
-                   "failing the bench\n",
-                   static_cast<unsigned long long>(fatal), unbound);
+    Check(fatal == 0, std::to_string(fatal) + " fatal SLO alert(s)");
+    if (gates_.failures() > 0) {
+      std::fprintf(stderr, "%d gate(s) failed — failing the bench\n",
+                   gates_.failures());
       return 1;
     }
     return 0;
@@ -413,6 +472,33 @@ class BenchReporter {
     std::unique_ptr<obs::SloWatchdog> watchdog;
     std::unique_ptr<obs::TimeSeriesSampler> sampler;
   };
+
+  /// Every request kind must charge its time to some stage, and every
+  /// expected stage must show up in some run.
+  void CheckBreakdownStages(const obs::BreakdownReporter& breakdown) {
+    xssd::Result<obs::JsonValue> doc = obs::ParseJson(breakdown.ToJson());
+    Check(doc.ok(), "breakdown report is not valid JSON");
+    if (!doc.ok()) return;
+    std::vector<bool> seen(expected_stages_.size(), false);
+    for (const auto& [label, run] : doc->Find("runs")->fields) {
+      for (const auto& [kind, agg] : run.Find("kinds")->fields) {
+        const std::vector<std::pair<std::string, obs::JsonValue>>& stages =
+            agg.Find("stages")->fields;
+        Check(!stages.empty(),
+              "breakdown " + label + "/" + kind + " attributed no stages");
+        for (const auto& stage : stages) {
+          for (size_t i = 0; i < expected_stages_.size(); ++i) {
+            const std::string suffix = "/" + expected_stages_[i];
+            seen[i] = seen[i] || stage.first.ends_with(suffix);
+          }
+        }
+      }
+    }
+    for (size_t i = 0; i < expected_stages_.size(); ++i) {
+      Check(seen[i], "breakdown never attributed time to stage " +
+                         expected_stages_[i]);
+    }
+  }
 
   Status LoadSloFile(const std::string& path) {
     std::ifstream in(path);
@@ -444,6 +530,8 @@ class BenchReporter {
   std::vector<SpanRun> span_runs_;
   std::vector<obs::SloRule> slo_rules_;
   std::vector<TsRun> ts_runs_;
+  std::vector<std::string> expected_stages_;
+  Gates gates_;
 };
 
 }  // namespace xssd::bench

@@ -19,6 +19,10 @@
 //                  campaign then must find a divergence and shrink it to
 //                  <= 15 ops, and exits non-zero if the oracle misses it
 //                  (the self-test CI gates on)
+//
+// Every verdict goes through the reporter: a divergence, a failed planted-
+// bug self-test, a trace file that cannot be written and a failed metrics
+// export all make the campaign exit 1.
 
 #include <cstdio>
 #include <fstream>
@@ -35,15 +39,13 @@ namespace {
 
 constexpr size_t kPlantedShrinkTarget = 15;  // acceptance: <= 15 ops
 
-int WriteTrace(const std::string& path, const check::Schedule& schedule) {
+void WriteTrace(bench::BenchReporter& reporter, const std::string& path,
+                const check::Schedule& schedule) {
   std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
   out << check::ToText(schedule);
-  std::printf("  dumped: %s\n", path.c_str());
-  return 0;
+  out.close();
+  reporter.Check(static_cast<bool>(out), "cannot write " + path);
+  if (out) std::printf("  dumped: %s\n", path.c_str());
 }
 
 void PrintResult(uint64_t seed, const check::CheckResult& result) {
@@ -75,25 +77,24 @@ int Main(int argc, char** argv) {
   std::string dump_dir = ".";
   std::string replay_path;
 
+  // BenchReporter passes only the declared flags, value flags with their
+  // value.
   const auto& args = reporter.positional();
   for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--seed" && i + 1 < args.size()) {
+    if (args[i] == "--seed") {
       first_seed = reporter.U64Flag("--seed", args[++i]);
-    } else if (args[i] == "--runs" && i + 1 < args.size()) {
+    } else if (args[i] == "--runs") {
       runs = reporter.U64Flag("--runs", args[++i], 1);
-    } else if (args[i] == "--ops" && i + 1 < args.size()) {
+    } else if (args[i] == "--ops") {
       ops = reporter.U64Flag("--ops", args[++i], 1);
     } else if (args[i] == "--shrink") {
       shrink = true;
     } else if (args[i] == "--plant-bug") {
       plant_bug = true;
-    } else if (args[i] == "--dump-dir" && i + 1 < args.size()) {
+    } else if (args[i] == "--dump-dir") {
       dump_dir = args[++i];
-    } else if (args[i] == "--replay" && i + 1 < args.size()) {
+    } else {  // --replay
       replay_path = args[++i];
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", args[i].c_str());
-      return 2;
     }
   }
 
@@ -116,13 +117,11 @@ int Main(int argc, char** argv) {
     }
     check::CheckResult result = check::RunSchedule(*schedule, options);
     PrintResult(schedule->seed, result);
-    if (!result.ok) {
-      for (const auto& d : result.divergences) {
-        std::printf("  %s\n", d.ToString().c_str());
-      }
+    for (const auto& d : result.divergences) {
+      std::printf("  %s\n", d.ToString().c_str());
     }
-    reporter.Finish();
-    return result.ok ? 0 : 1;
+    reporter.Check(result.ok, "the replayed schedule diverged");
+    return reporter.Finish();
   }
 
   bench::PrintHeader(plant_bug
@@ -132,7 +131,6 @@ int Main(int argc, char** argv) {
   size_t crashes = 0;
   size_t failovers = 0;
   size_t divergences = 0;
-  int exit_code = 0;
 
   for (size_t run = 0; run < runs; ++run) {
     uint64_t seed = first_seed + run;
@@ -156,51 +154,44 @@ int Main(int argc, char** argv) {
           "  planted bug caught; shrunk %zu -> %zu ops in %zu runs: %s\n",
           schedule.ops.size(), shrunk.schedule.ops.size(), shrunk.runs,
           shrunk.divergence.c_str());
-      WriteTrace(dump_dir + "/planted.trace", schedule);
-      WriteTrace(dump_dir + "/planted.shrunk.trace", shrunk.schedule);
+      WriteTrace(reporter, dump_dir + "/planted.trace", schedule);
+      WriteTrace(reporter, dump_dir + "/planted.shrunk.trace",
+                 shrunk.schedule);
       reporter.SetResult("planted", "found", 1);
       reporter.SetResult("planted", "shrunk_ops",
                          static_cast<double>(shrunk.schedule.ops.size()));
       reporter.SetResult("planted", "shrink_runs",
                          static_cast<double>(shrunk.runs));
-      if (!shrunk.still_failing ||
-          shrunk.schedule.ops.size() > kPlantedShrinkTarget) {
-        std::fprintf(stderr,
-                     "FAIL: shrunk counterexample has %zu ops "
-                     "(target <= %zu) or stopped failing\n",
-                     shrunk.schedule.ops.size(), kPlantedShrinkTarget);
-        reporter.Finish();
-        return 1;
+      const bool minimal = shrunk.still_failing &&
+                           shrunk.schedule.ops.size() <= kPlantedShrinkTarget;
+      reporter.Check(minimal,
+                     "the planted bug did not shrink to <= 15 failing ops");
+      if (minimal) {
+        std::printf("\nplanted-bug self-test passed (%zu-op counterexample)\n",
+                    shrunk.schedule.ops.size());
       }
-      std::printf("\nplanted-bug self-test passed (%zu-op counterexample)\n",
-                  shrunk.schedule.ops.size());
-      reporter.Finish();
-      return 0;
+      return reporter.Finish();
     }
 
     // A real divergence: dump the schedule (and its minimized form) for
     // replay, then fail the campaign.
     std::string base =
         dump_dir + "/diverged-seed" + std::to_string(seed);
-    WriteTrace(base + ".trace", schedule);
+    WriteTrace(reporter, base + ".trace", schedule);
     if (shrink) {
       check::ShrinkResult shrunk = check::ShrinkSchedule(schedule, options);
       std::printf("  shrunk %zu -> %zu ops in %zu runs: %s\n",
                   schedule.ops.size(), shrunk.schedule.ops.size(),
                   shrunk.runs, shrunk.divergence.c_str());
-      WriteTrace(base + ".shrunk.trace", shrunk.schedule);
+      WriteTrace(reporter, base + ".shrunk.trace", shrunk.schedule);
     }
-    exit_code = 1;
     break;
   }
 
   if (plant_bug) {
-    std::fprintf(stderr,
-                 "FAIL: planted ordering bug survived %zu schedules "
-                 "undetected\n",
-                 runs);
-    reporter.Finish();
-    return 1;
+    reporter.Check(false, "the planted ordering bug survived " +
+                              std::to_string(runs) + " schedules undetected");
+    return reporter.Finish();
   }
 
   std::printf("\n%zu/%zu schedules conform (%zu crash/recovery runs, "
@@ -214,8 +205,9 @@ int Main(int argc, char** argv) {
                      static_cast<double>(failovers));
   reporter.SetResult("campaign", "divergences",
                      static_cast<double>(divergences));
-  int finish = reporter.Finish();
-  return exit_code != 0 ? exit_code : finish;
+  reporter.Check(divergences == 0,
+                 "a schedule diverged from the reference model");
+  return reporter.Finish();
 }
 
 }  // namespace xssd

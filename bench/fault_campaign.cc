@@ -6,10 +6,13 @@
 //   fault_campaign --plan flash-fail --seed 3 --metrics out.json
 //
 // --plan accepts one of the embedded plans (flash-fail, ntb-flap,
-// crash-mid-destage — the same documents as bench/plans/*.json) or a path
-// to a plan file. A (plan, seed) pair is bit-deterministic: two runs
-// produce identical metric snapshots.
+// crash-mid-destage, retention-stress — the same documents as
+// bench/plans/*.json) or a path to a plan file. An embedded plan must also
+// inject its headline fault kind at least once. Every clause kind that
+// injected nothing is printed as "inert fault clause". A (plan, seed) pair
+// is bit-deterministic: two runs produce identical metric snapshots.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -31,10 +34,12 @@ namespace {
 struct EmbeddedPlan {
   const char* name;
   const char* json;
+  fault::FaultKind headline;  ///< the clause kind the plan exists to test
 };
 
 // Keep in sync with bench/plans/*.json (CI runs the names; the files are
-// the editable/documented form).
+// the editable/documented form). A named plan must inject its headline
+// fault at least once.
 constexpr EmbeddedPlan kEmbeddedPlans[] = {
     {"flash-fail", R"({
       "name": "flash-fail",
@@ -43,7 +48,8 @@ constexpr EmbeddedPlan kEmbeddedPlans[] = {
         {"kind": "flash.program_fail", "at_us": 900, "duration_us": 2000,
          "probability": 0.4}
       ]
-    })"},
+    })",
+     fault::FaultKind::kFlashProgramFail},
     {"ntb-flap", R"({
       "name": "ntb-flap",
       "faults": [
@@ -51,13 +57,15 @@ constexpr EmbeddedPlan kEmbeddedPlans[] = {
         {"kind": "ntb.link_stall", "at_us": 900, "duration_us": 300,
          "probability": 0.5, "delay_us": 4}
       ]
-    })"},
+    })",
+     fault::FaultKind::kNtbLinkDown},
     {"crash-mid-destage", R"({
       "name": "crash-mid-destage",
       "faults": [
         {"kind": "crash", "site": "destage.emit_page", "after_hits": 4}
       ]
-    })"},
+    })",
+     fault::FaultKind::kCrash},
     {"retention-stress", R"({
       "name": "retention-stress",
       "faults": [
@@ -66,14 +74,45 @@ constexpr EmbeddedPlan kEmbeddedPlans[] = {
         {"kind": "flash.disturb", "at_us": 0, "duration_us": 2000000,
          "probability": 0.5, "magnitude": 2000}
       ]
-    })"},
+    })",
+     fault::FaultKind::kFlashRetention},
 };
 
-Result<fault::FaultPlan> ResolvePlan(const std::string& arg) {
+const EmbeddedPlan* FindEmbeddedPlan(const std::string& name) {
   for (const EmbeddedPlan& p : kEmbeddedPlans) {
-    if (arg == p.name) return fault::ParseFaultPlan(p.json);
+    if (name == p.name) return &p;
   }
-  return fault::LoadFaultPlan(arg);
+  return nullptr;
+}
+
+// How many faults of `kind` the injector has injected so far.
+uint64_t Injected(const fault::FaultInjector::Totals& t,
+                  fault::FaultKind kind) {
+  switch (kind) {
+    case fault::FaultKind::kFlashProgramFail:
+      return t.flash_program_fails;
+    case fault::FaultKind::kFlashEraseFail:
+      return t.flash_erase_fails;
+    case fault::FaultKind::kFlashReadUncorrectable:
+      return t.flash_read_uncorrectable;
+    case fault::FaultKind::kFlashRetention:
+      return t.flash_retention_boosts;
+    case fault::FaultKind::kFlashDisturb:
+      return t.flash_disturb_boosts;
+    case fault::FaultKind::kNtbLinkDown:
+      return t.ntb_dropped;
+    case fault::FaultKind::kNtbLinkStall:
+      return t.ntb_stalled;
+    case fault::FaultKind::kPcieStoreDelay:
+      return t.pcie_delayed;
+    case fault::FaultKind::kPcieStoreTruncate:
+      return t.pcie_truncated;
+    case fault::FaultKind::kNvmeTimeout:
+      return t.nvme_timeouts;
+    case fault::FaultKind::kCrash:
+      return t.crashes;
+  }
+  return 0;
 }
 
 uint64_t TotalInjected(const fault::FaultInjector::Totals& t) {
@@ -90,8 +129,10 @@ bool PlanHasCrash(const fault::FaultPlan& plan) {
   return false;
 }
 
-int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
-                uint64_t seed) {
+// `headline` is the fault kind the plan must inject, or nullptr for a plan
+// loaded from a file.
+void RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
+                 uint64_t seed, const fault::FaultKind* headline) {
   sim::Simulator sim;
   core::VillarsConfig config;
   config.geometry.channels = 2;
@@ -118,15 +159,14 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   host::StorageNode primary(&sim, config, pcie::FabricConfig{}, "pri");
   host::StorageNode secondary(&sim, config, pcie::FabricConfig{}, "sec");
   if (!primary.Init().ok() || !secondary.Init().ok()) {
-    std::fprintf(stderr, "node init failed\n");
-    return 1;
+    reporter.Check(false, "node init failed");
+    return;
   }
   host::ReplicationGroup group({&primary, &secondary});
   Status setup = group.Setup(core::ReplicationProtocol::kEager, sim::UsF(0.8));
   if (!setup.ok()) {
-    std::fprintf(stderr, "replication setup failed: %s\n",
-                 setup.ToString().c_str());
-    return 1;
+    reporter.Check(false, "replication setup failed: " + setup.ToString());
+    return;
   }
 
   fault::FaultInjector injector(&sim, plan, seed);
@@ -183,39 +223,29 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     for (int i = 0; i < 100 && !drained; ++i) sim.RunFor(sim::Ms(1));
   }
 
-  int failures = 0;
-  auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT FAILED [%s seed %llu]: %s\n",
-                   plan.name.c_str(), static_cast<unsigned long long>(seed),
-                   what);
-      ++failures;
-    }
-  };
-
   const std::string label = plan.name.empty() ? "plan" : plan.name;
   if (injector.crashed()) {
     // Crash path: reboot and recover; the chain walk must cover the
     // acknowledged prefix (graceful) and never fabricate or reorder bytes.
-    check(drained, "crash fired but device never finished halting");
+    reporter.Check(drained, "crash fired but device never finished halting");
     uint64_t acknowledged = primary.device().cmb().local_credit();
     sim.RunFor(sim::Ms(5));  // let in-flight flash programs settle
     primary.device().Reboot();
     Result<host::RecoveredLog> recovered = host::RecoverLog(
         sim, primary.driver(), primary.device().destage().ring_start_lba(),
         primary.device().destage().ring_lba_count());
-    check(recovered.ok(), "post-crash recovery scan failed");
+    reporter.Check(recovered.ok(), "post-crash recovery scan failed");
     if (recovered.ok()) {
       if (crash_graceful) {
-        check(recovered->end_offset() >= acknowledged,
-              "recovery lost acknowledged bytes");
+        reporter.Check(recovered->end_offset() >= acknowledged,
+                       "recovery lost acknowledged bytes");
       }
-      check(recovered->end_offset() <= submitted,
-            "recovery returned bytes never submitted");
-      check(std::memcmp(recovered->data.data(),
-                        stream.data() + recovered->start_offset,
-                        recovered->data.size()) == 0,
-            "recovered bytes differ from the reference stream");
+      reporter.Check(recovered->end_offset() <= submitted,
+                     "recovery returned bytes never submitted");
+      reporter.Check(std::memcmp(recovered->data.data(),
+                                 stream.data() + recovered->start_offset,
+                                 recovered->data.size()) == 0,
+                     "recovered bytes differ from the reference stream");
       reporter.SetResult(label, "recovered_end",
                          static_cast<double>(recovered->end_offset()));
     }
@@ -224,27 +254,30 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   } else {
     // Fault-but-no-crash path: the workload must complete durably — every
     // byte replicated and destaged despite the injected faults.
-    check(posted_all, "append workload never completed");
-    check(host::x_fsync(sim, primary.client()) == 0, "x_fsync failed");
+    reporter.Check(posted_all, "append workload never completed");
+    reporter.Check(host::x_fsync(sim, primary.client()) == 0, "x_fsync failed");
     sim.RunFor(sim::Ms(30));  // drain destage through any retry backoffs
 
-    check(primary.device().cmb().local_credit() == stream.size(),
-          "primary credit does not cover the stream");
-    check(secondary.device().cmb().local_credit() == stream.size(),
-          "secondary lost or duplicated replicated bytes");
+    reporter.Check(primary.device().cmb().local_credit() == stream.size(),
+                   "primary credit does not cover the stream");
+    reporter.Check(secondary.device().cmb().local_credit() == stream.size(),
+                   "secondary lost or duplicated replicated bytes");
     std::vector<uint8_t> replica(stream.size());
     secondary.device().cmb().CopyOut(0, replica.data(), replica.size());
-    check(replica == stream, "replica differs from the reference stream");
-    check(primary.device().destage().destaged() >= stream.size(),
-          "destage never caught up");
+    reporter.Check(replica == stream,
+                   "replica differs from the reference stream");
+    reporter.Check(primary.device().destage().destaged() >= stream.size(),
+                   "destage never caught up");
     std::vector<uint8_t> tail(stream.size());
-    check(host::x_pread(sim, primary.client(), primary.driver(), tail.data(),
-                        tail.size()) == static_cast<ssize_t>(tail.size()),
-          "x_pread of the destaged tail failed");
-    check(tail == stream, "destaged bytes differ from the reference stream");
+    reporter.Check(host::x_pread(sim, primary.client(), primary.driver(),
+                                 tail.data(), tail.size()) ==
+                       static_cast<ssize_t>(tail.size()),
+                   "x_pread of the destaged tail failed");
+    reporter.Check(tail == stream,
+                   "destaged bytes differ from the reference stream");
     if (injector.totals().ntb_dropped > 0) {
-      check(primary.device().transport().retransmit_rounds() >= 1,
-            "writes were dropped but retransmission never ran");
+      reporter.Check(primary.device().transport().retransmit_rounds() >= 1,
+                     "writes were dropped but retransmission never ran");
     }
     reporter.SetResult(
         label, "retransmit_rounds",
@@ -252,32 +285,52 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   }
 
   // A campaign that injected nothing proves nothing.
-  check(TotalInjected(injector.totals()) > 0, "plan injected no faults");
+  reporter.Check(TotalInjected(injector.totals()) > 0,
+                 "plan injected no faults");
+  if (headline != nullptr) {
+    reporter.Check(Injected(injector.totals(), *headline) > 0,
+                   std::string("the plan's headline fault ") +
+                       fault::FaultKindName(*headline) + " never fired");
+  }
+  // A clause kind that injected nothing is not a failure (its window may
+  // miss the workload on some seeds), but the run names it.
+  std::vector<fault::FaultKind> inert;
+  for (const fault::FaultSpec& spec : plan.faults) {
+    if (Injected(injector.totals(), spec.kind) == 0 &&
+        std::find(inert.begin(), inert.end(), spec.kind) == inert.end()) {
+      inert.push_back(spec.kind);
+      std::printf("inert fault clause: %s injected nothing\n",
+                  fault::FaultKindName(spec.kind));
+    }
+  }
   if (PlanHasCrash(plan)) {
-    check(injector.crashed(), "plan has a crash clause that never fired");
+    reporter.Check(injector.crashed(),
+                   "plan has a crash clause that never fired");
   }
 
   obs::BreakdownReporter breakdown("fault_campaign");
   breakdown.AddRun(label, spans);
   breakdown.ExportGauges(&reporter.registry(),
                          "bench.fault_campaign." + label + ".");
-  check(breakdown.conservation_violations() == 0,
-        "latency attribution violated segment/e2e conservation");
+  reporter.Check(breakdown.conservation_violations() == 0,
+                 "latency attribution violated segment/e2e conservation");
 
   reporter.SetResult(label, "submitted", static_cast<double>(submitted));
   reporter.SetResult(label, "faults_injected",
                      static_cast<double>(TotalInjected(injector.totals())));
-  reporter.SetResult(label, "invariant_failures",
-                     static_cast<double>(failures));
   // Nonzero means some fault/workload site asked for a past timestamp and
   // the scheduler clamped it to Now() — an ordering bug in the plan.
+  reporter.Check(sim.past_schedule_clamps() == 0,
+                 "the scheduler clamped a past-timestamp schedule");
+  const int failures = reporter.gate_failures();
+  reporter.SetResult(label, "invariant_failures",
+                     static_cast<double>(failures));
   reporter.SetResult(label, "schedule_past_clamps",
                      static_cast<double>(sim.past_schedule_clamps()));
   std::printf("plan=%s seed=%llu submitted=%zu injected=%llu %s\n",
               label.c_str(), static_cast<unsigned long long>(seed), submitted,
               static_cast<unsigned long long>(TotalInjected(injector.totals())),
               failures == 0 ? "OK" : "FAILED");
-  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -291,33 +344,31 @@ int main(int argc, char** argv) {
   std::string plan_arg = "flash-fail";
   uint64_t seed = 1;
   const std::vector<std::string>& args = reporter.positional();
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--plan" && i + 1 < args.size()) {
-      plan_arg = args[++i];
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = reporter.U64Flag("--seed", args[++i]);
+  // BenchReporter passes only the declared flags, each with its value.
+  for (size_t i = 0; i < args.size(); i += 2) {
+    if (args[i] == "--plan") {
+      plan_arg = args[i + 1];
     } else {
-      std::fprintf(stderr,
-                   "usage: fault_campaign [--plan name|path] [--seed N] "
-                   "[--metrics out.json]\n  embedded plans:");
-      for (const EmbeddedPlan& p : kEmbeddedPlans) {
-        std::fprintf(stderr, " %s", p.name);
-      }
-      std::fprintf(stderr, "\n");
-      return 2;
+      seed = reporter.U64Flag("--seed", args[i + 1]);
     }
   }
 
-  Result<fault::FaultPlan> plan = ResolvePlan(plan_arg);
+  const EmbeddedPlan* embedded = FindEmbeddedPlan(plan_arg);
+  Result<fault::FaultPlan> plan = embedded != nullptr
+                                      ? fault::ParseFaultPlan(embedded->json)
+                                      : fault::LoadFaultPlan(plan_arg);
   if (!plan.ok()) {
-    std::fprintf(stderr, "cannot load plan '%s': %s\n", plan_arg.c_str(),
-                 plan.status().ToString().c_str());
-    return 2;
+    std::string error = "cannot load plan '" + plan_arg + "': ";
+    error += plan.status().ToString() + "\n  embedded plans:";
+    for (const EmbeddedPlan& p : kEmbeddedPlans) {
+      error += std::string(" ") + p.name;
+    }
+    reporter.UsageExit(error);
   }
 
   bench::PrintHeader("Fault campaign: " + plan->name + " (seed " +
                      std::to_string(seed) + ")");
-  int rc = RunCampaign(reporter, *plan, seed);
-  int finish_rc = reporter.Finish();
-  return rc != 0 ? rc : finish_rc;
+  RunCampaign(reporter, *plan, seed,
+              embedded != nullptr ? &embedded->headline : nullptr);
+  return reporter.Finish();
 }

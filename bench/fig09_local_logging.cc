@@ -137,10 +137,12 @@ int main(int argc, char** argv) {
     measure = sim::Ms(reporter.U64Flag("measure_ms", args[0], 1));
   }
 
+  // A --breakdown must show device time, not only client-side self time.
+  reporter.ExpectBreakdownStages({"cmb.stage", "host.poll", "request.self"});
+
   bench::PrintHeader("Figure 9: logging to local storage (TPC-C, 16 WH)");
   std::printf("%-14s %8s %14s %12s %10s %10s\n", "method", "workers",
               "txn/s", "mean_lat_us", "p50_us", "p99_us");
-  std::vector<std::string> empty_runs;
   for (Method method :
        {Method::kNoLog, Method::kNvdimm, Method::kNvme,
         Method::kVillarsSram, Method::kVillarsDram}) {
@@ -149,19 +151,20 @@ int main(int argc, char** argv) {
       std::printf("%-14s %8u %14.0f %12.1f %10.1f %10.1f\n",
                   MethodName(method), workers, r.txns_per_sec,
                   r.mean_latency_us, r.p50_us, r.p99_us);
-      if (r.txns_per_sec == 0 || r.latency_samples == 0) {
-        empty_runs.push_back(RunLabel(method, workers));
-      }
+      // A window too short for a run to complete a commit yields a row
+      // with no latency at all; the figure is meaningless, so fail.
+      reporter.Check(r.txns_per_sec > 0 && r.latency_samples > 0,
+                     "run " + RunLabel(method, workers) +
+                         " recorded no commits or no latency samples in its "
+                         "measured window; use a longer measure_ms");
     }
   }
-  int rc = reporter.Finish();
-  // A window too short for a run to complete a commit yields a row with no
-  // latency at all; the figure is meaningless, so fail instead of exit 0.
-  for (const std::string& label : empty_runs) {
-    std::fprintf(stderr,
-                 "fig09: run %s recorded no commits or no latency samples "
-                 "in its measured window; use a longer measure_ms\n",
-                 label.c_str());
+  // The snapshot must carry the device namespaces the figure reads.
+  const auto& counters = reporter.registry().counters();
+  for (const std::string ns : {"cmb.", "destage.", "flash."}) {
+    auto it = counters.lower_bound(ns);
+    reporter.Check(it != counters.end() && it->first.starts_with(ns),
+                   "no " + ns + "* counters in the metrics snapshot");
   }
-  return empty_runs.empty() ? rc : 1;
+  return reporter.Finish();
 }

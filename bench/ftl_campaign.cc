@@ -79,16 +79,6 @@ LatencyStats Percentiles(std::vector<sim::SimTime>& lat) {
   return out;
 }
 
-struct Gate {
-  int failures = 0;
-  void Check(bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "GATE FAILED: %s\n", what);
-      ++failures;
-    }
-  }
-};
-
 // Mixed steady-state churn: hot destage-class log appends over a small
 // ring, conventional buffered overwrites over a wider warm set. Returns
 // the number of ops issued (the crash run stops early).
@@ -135,8 +125,8 @@ int Churn(ftl::Ftl& ftl, sim::Simulator& sim, sim::Rng& rng, uint64_t lpns,
   return issued;
 }
 
-int RunSteady(bench::BenchReporter& reporter, uint64_t seed,
-              double p99_bound_us, Gate& gate) {
+void RunSteady(bench::BenchReporter& reporter, uint64_t seed,
+               double p99_bound_us) {
   sim::Simulator sim;
   flash::Array array(&sim, CampaignGeometry(), flash::Timing{},
                      flash::Reliability{}, seed);
@@ -167,11 +157,11 @@ int RunSteady(bench::BenchReporter& reporter, uint64_t seed,
   Status flushed = Status::Internal("pending");
   ftl.Flush([&](Status s) { flushed = s; });
   sim.Run();
-  gate.Check(flushed.ok(), "fill-phase flush failed");
+  reporter.Check(flushed.ok(), "fill-phase flush failed");
   const double fill_wa = ftl.stats().WriteAmplification();
   const uint64_t fill_hosts = ftl.stats().host_writes;
   const uint64_t fill_programs = ftl.stats().flash_programs;
-  gate.Check(fill_wa <= 1.01, "fill-phase write amplification above 1");
+  reporter.Check(fill_wa <= 1.01, "fill-phase write amplification above 1");
 
   // Phase 2 — sustained overwrites past the cliff. The erased pool is
   // gone; every host page now costs GC relocations too.
@@ -200,11 +190,12 @@ int RunSteady(bench::BenchReporter& reporter, uint64_t seed,
 
   // Gates: the cliff was actually crossed, GC ran a sustained storm, and
   // the append tail stayed bounded.
-  gate.Check(steady_wa > 1.1, "steady-state write amplification not past 1");
-  gate.Check(ftl.stats().gc_erases > 100, "churn never forced a GC storm");
-  gate.Check(!append_latencies.empty(), "no log append ever completed");
-  gate.Check(lat.p99_us <= p99_bound_us,
-             "log-append p99 exceeded the tail bound through GC storms");
+  reporter.Check(steady_wa > 1.1,
+                 "steady-state write amplification not past 1");
+  reporter.Check(ftl.stats().gc_erases > 100, "churn never forced a GC storm");
+  reporter.Check(!append_latencies.empty(), "no log append ever completed");
+  reporter.Check(lat.p99_us <= p99_bound_us,
+                 "log-append p99 exceeded the tail bound through GC storms");
 
   // Phase 3 — destage-priority contention probe. Same steady-state device,
   // same churn, scheduler policy flipped to neutral: the GC-vs-destage
@@ -221,13 +212,13 @@ int RunSteady(bench::BenchReporter& reporter, uint64_t seed,
           : static_cast<double>(
                 ftl.scheduler().wait_ns(ftl::IoClass::kDestage)) /
                 1000.0 / static_cast<double>(neutral_issued);
-  gate.Check(destage_mean_priority <= destage_mean_neutral * 1.05,
-             "destage-priority inversion: log appends queued longer with "
-             "priority than under the neutral policy");
+  reporter.Check(destage_mean_priority <= destage_mean_neutral * 1.05,
+                 "destage-priority inversion: log appends queued longer with "
+                 "priority than under the neutral policy");
 
-  gate.Check(ftl.wear().Spread() <=
-                 CampaignConfig().gc_max_erase_spread + 8,
-             "erase-count spread escaped the wear-leveling bound");
+  reporter.Check(
+      ftl.wear().Spread() <= CampaignConfig().gc_max_erase_spread + 8,
+      "erase-count spread escaped the wear-leveling bound");
 
   // The steady-state flash image must also rebuild exactly (no crash —
   // this is the cheap always-on recovery oracle).
@@ -237,7 +228,7 @@ int RunSteady(bench::BenchReporter& reporter, uint64_t seed,
     std::fprintf(stderr, "rebuild divergence: %s — %s\n", d.rule.c_str(),
                  d.detail.c_str());
   }
-  gate.Check(divergences.empty(), "steady-state OOB rebuild diverged");
+  reporter.Check(divergences.empty(), "steady-state OOB rebuild diverged");
 
   reporter.SetResult("steady", "fill_wa", fill_wa);
   reporter.SetResult("steady", "steady_wa", steady_wa);
@@ -267,10 +258,9 @@ int RunSteady(bench::BenchReporter& reporter, uint64_t seed,
       fill_wa, steady_wa,
       static_cast<unsigned long long>(ftl.stats().gc_erases),
       ftl.wear().Spread(), lat.p50_us, lat.p99_us, divergences.size());
-  return gate.failures;
 }
 
-int RunCrash(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
+void RunCrash(bench::BenchReporter& reporter, uint64_t seed) {
   sim::Simulator sim;
   flash::Array array(&sim, CampaignGeometry(), flash::Timing{},
                      flash::Reliability{}, seed);
@@ -299,7 +289,7 @@ int RunCrash(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
     Churn(ftl, sim, rng, lpns, /*ops=*/24000, nullptr, &injector);
   }
   sim.Run();  // power-cut model: issued NAND physics completes, no new work
-  gate.Check(injector.crashed(), "mid-GC crash clause never fired");
+  reporter.Check(injector.crashed(), "mid-GC crash clause never fired");
 
   ftl::RebuildReport report;
   ftl::PageMap rebuilt = ftl.RebuildFromOob(&report);
@@ -310,10 +300,12 @@ int RunCrash(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
     std::fprintf(stderr, "crash rebuild divergence: %s — %s\n",
                  d.rule.c_str(), d.detail.c_str());
   }
-  gate.Check(exact && divergences.empty(),
-             "mid-GC crash rebuild is not byte-identical");
-  gate.Check(report.oob_decode_failures == 0,
-             "OOB records corrupted on a clean power cut");
+  reporter.Check(exact && divergences.empty(),
+                 "mid-GC crash rebuild is not byte-identical");
+  reporter.Check(report.oob_decode_failures == 0,
+                 "OOB records corrupted on a clean power cut");
+  reporter.Check(report.pages_scanned > 0,
+                 "the post-crash OOB rebuild scanned no pages");
 
   reporter.SetResult("crash", "rebuild_mismatch",
                      static_cast<double>(divergences.size()));
@@ -328,7 +320,6 @@ int RunCrash(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
               static_cast<unsigned long long>(report.stale_copies),
               static_cast<unsigned long long>(report.mapped),
               divergences.size());
-  return gate.failures;
 }
 
 }  // namespace
@@ -342,23 +333,19 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   double p99_bound_us = 5000.0;
   const std::vector<std::string>& args = reporter.positional();
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = reporter.U64Flag("--seed", args[++i]);
-    } else if (args[i] == "--p99-bound-us" && i + 1 < args.size()) {
-      const std::string& text = args[++i];
-      char* end = nullptr;
-      p99_bound_us = std::strtod(text.c_str(), &end);
-      if (text.empty() || *end != '\0' || !(p99_bound_us > 0) ||
-          !std::isfinite(p99_bound_us)) {
-        reporter.UsageExit("--p99-bound-us needs a positive number, got '" +
-                           text + "'");
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: ftl_campaign [--seed N] [--p99-bound-us X] "
-                   "[--metrics out.json]\n");
-      return 2;
+  // BenchReporter passes only the declared flags, each with its value.
+  for (size_t i = 0; i < args.size(); i += 2) {
+    const std::string& text = args[i + 1];
+    if (args[i] == "--seed") {
+      seed = reporter.U64Flag("--seed", text);
+      continue;
+    }
+    char* end = nullptr;
+    p99_bound_us = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !(p99_bound_us > 0) ||
+        !std::isfinite(p99_bound_us)) {
+      reporter.UsageExit("--p99-bound-us needs a positive number, got '" +
+                         text + "'");
     }
   }
 
@@ -386,24 +373,23 @@ int main(int argc, char** argv) {
     tail.fatal = true;
     reporter.AddSloRule(tail);
   }
-  Gate gate;
-  RunSteady(reporter, seed, p99_bound_us, gate);
-  RunCrash(reporter, seed, gate);
+  RunSteady(reporter, seed, p99_bound_us);
+  RunCrash(reporter, seed);
   if (reporter.sampling_enabled()) {
     // The watchdog must have *seen* the cliff: the rule alerting is the
     // time-series pipeline's end-to-end proof (windows closed, the gauge
     // was sampled, the streak logic fired).
-    gate.Check(reporter.SloAlerts("write_cliff") >= 1,
-               "watchdog never alerted on the write cliff");
+    reporter.Check(reporter.SloAlerts("write_cliff") >= 1,
+                   "watchdog never alerted on the write cliff");
     std::printf("watchdog: write_cliff alerts=%llu\n",
                 static_cast<unsigned long long>(
                     reporter.SloAlerts("write_cliff")));
   }
+  const int failures = reporter.gate_failures();
   reporter.SetResult("campaign", "gate_failures",
-                     static_cast<double>(gate.failures));
+                     static_cast<double>(failures));
   std::printf("ftl_campaign seed=%llu %s (%d gate failures)\n",
               static_cast<unsigned long long>(seed),
-              gate.failures == 0 ? "OK" : "FAILED", gate.failures);
-  int finish_rc = reporter.Finish();
-  return gate.failures != 0 ? 1 : finish_rc;
+              failures == 0 ? "OK" : "FAILED", failures);
+  return reporter.Finish();
 }

@@ -136,8 +136,8 @@ constexpr uint64_t kChainBytes = 30000;   ///< kill-primary: posted mid-crash
 constexpr uint64_t kSuffixBytes = 8000;   ///< partition: un-acked suffix
 constexpr uint64_t kPostBytes = 6000;     ///< written on the new leader
 
-int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
-                uint64_t seed) {
+void RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
+                 uint64_t seed) {
   const ha::HaConfig ha_config;  // eager, 50 us heartbeats, 5-miss suspicion
   const sim::SimTime detection =
       ha_config.heartbeat_period *
@@ -160,17 +160,16 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     nodes.push_back(std::make_unique<host::StorageNode>(
         &sim, config, pcie::FabricConfig{}, "n" + std::to_string(i)));
     if (!nodes.back()->Init().ok()) {
-      std::fprintf(stderr, "node init failed\n");
-      return 1;
+      reporter.Check(false, "node init failed");
+      return;
     }
     raw.push_back(nodes.back().get());
   }
   ha::ReplicaSupervisor supervisor(&sim, raw, ha_config);
   Status setup = supervisor.Setup();
   if (!setup.ok()) {
-    std::fprintf(stderr, "supervisor setup failed: %s\n",
-                 setup.ToString().c_str());
-    return 1;
+    reporter.Check(false, "supervisor setup failed: " + setup.ToString());
+    return;
   }
   supervisor.Start();
   supervisor.SetFlightRecorder(reporter.flight_recorder());
@@ -186,15 +185,6 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     nodes[i]->device().EnableFlightRecorder(reporter.flight_recorder());
   }
 
-  int failures = 0;
-  auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "INVARIANT FAILED [%s seed %llu]: %s\n",
-                   plan.name.c_str(), static_cast<unsigned long long>(seed),
-                   what);
-      ++failures;
-    }
-  };
   auto credit = [&](size_t i) {
     return nodes[i]->device().cmb().local_credit();
   };
@@ -234,6 +224,7 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     stream[off] = PatternByte(off);
   }
   sim::Rng rng(seed ^ 0x8A1EC7ull);
+  // True when every one of `bytes` was appended.
   auto append_chunked = [&](host::XLogClient& client, const uint8_t* data,
                             uint64_t bytes) {
     uint64_t done = 0;
@@ -246,7 +237,7 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
       }
       done += chunk;
     }
-    return done;
+    return done == bytes;
   };
 
   // Phase 1 (all scenarios): build an acknowledged prefix. After the fsync
@@ -275,12 +266,13 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     inbound_injector->SetFlightRecorder(reporter.flight_recorder());
   }
 
-  check(append_chunked(nodes[0]->client(), stream.data(), kAckedBytes) ==
-            kAckedBytes,
-        "phase-1 append did not complete");
-  check(host::x_fsync(sim, nodes[0]->client()) == 0, "phase-1 fsync failed");
+  reporter.Check(append_chunked(nodes[0]->client(), stream.data(), kAckedBytes),
+                 "phase-1 append did not complete");
+  reporter.Check(host::x_fsync(sim, nodes[0]->client()) == 0,
+                 "phase-1 fsync failed");
   const uint64_t acked = credit(0);
-  check(acked >= kAckedBytes, "phase-1 fsync acked fewer bytes than written");
+  reporter.Check(acked >= kAckedBytes,
+                 "phase-1 fsync acked fewer bytes than written");
 
   const std::string label = plan.name.empty() ? "plan" : plan.name;
   size_t leader = 0;
@@ -317,32 +309,37 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     append_next();
     sim.RunWhile([&]() { return posted_all || killed; });
     for (int i = 0; i < 100 && !killed; ++i) sim.RunFor(sim::Ms(1));
-    check(injector->crashed(), "kill-primary: crash clause never fired");
+    reporter.Check(injector->crashed(),
+                   "kill-primary: crash clause never fired");
 
     sim.RunFor(sim::Ms(4));  // detect, elect, promote, fence in survivors
     leader = supervisor.leader_index();
-    check(supervisor.promotions() == 1, "promotion did not happen exactly once");
-    check(leader != 0, "dead member still believed leader");
-    check(supervisor.term() == 2, "promotion did not advance the term");
-    check(live_primaries() == 1, "not exactly one live primary");
-    check(credit(leader) >= acked, "promoted leader lost acknowledged bytes");
-    check(prefix_matches(leader, credit(leader)),
-          "promoted log differs from the reference stream");
+    reporter.Check(supervisor.promotions() == 1,
+                   "promotion did not happen exactly once");
+    reporter.Check(supervisor.demotions() == 0,
+                   "kill-primary: a member was demoted");
+    reporter.Check(leader != 0, "dead member still believed leader");
+    reporter.Check(supervisor.term() == 2,
+                   "promotion did not advance the term");
+    reporter.Check(live_primaries() == 1, "not exactly one live primary");
+    reporter.Check(credit(leader) >= acked,
+                   "promoted leader lost acknowledged bytes");
+    reporter.Check(prefix_matches(leader, credit(leader)),
+                   "promoted log differs from the reference stream");
 
     // The new leader serves writes; eager acks require the surviving
     // secondary to be fenced in at the new term.
-    check(append_chunked(nodes[leader]->client(),
-                         stream.data() + nodes[leader]->client().written(),
-                         kPostBytes) == kPostBytes,
-          "post-failover append did not complete");
-    check(host::x_fsync(sim, nodes[leader]->client()) == 0,
-          "post-failover fsync failed");
-    check(supervisor.promotions() == 1, "a second promotion happened");
+    const uint8_t* rest = stream.data() + nodes[leader]->client().written();
+    reporter.Check(append_chunked(nodes[leader]->client(), rest, kPostBytes),
+                   "post-failover append did not complete");
+    reporter.Check(host::x_fsync(sim, nodes[leader]->client()) == 0,
+                   "post-failover fsync failed");
+    reporter.Check(supervisor.promotions() == 1, "a second promotion happened");
     size_t other = 3 - leader;  // the surviving secondary (member 0 is dead)
-    check(credit(other) == credit(leader),
-          "surviving secondary did not converge");
-    check(prefix_matches(other, credit(other)),
-          "surviving secondary's log differs from the reference stream");
+    reporter.Check(credit(other) == credit(leader),
+                   "surviving secondary did not converge");
+    reporter.Check(prefix_matches(other, credit(other)),
+                   "surviving secondary diverged from the reference stream");
   } else if (scenario == Scenario::kPartition) {
     sim::SimTime first_at = fault::FaultSpec::kForever;
     sim::SimTime outbound_end = 0;
@@ -355,8 +352,8 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
       first_at = std::min(first_at, spec.at);
       inbound_end = std::max(inbound_end, spec.end());
     }
-    check(sim.Now() < first_at,
-          "phase-1 workload overran the partition start; raise at_us");
+    reporter.Check(sim.Now() < first_at,
+                   "phase-1 workload overran the partition start; raise at_us");
 
     // Inside the partition, the isolated primary keeps accepting appends it
     // can no longer replicate. The suffix uses an inverted pattern: were
@@ -367,41 +364,45 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     for (uint64_t off = 0; off < kSuffixBytes; ++off) {
       doomed[off] = static_cast<uint8_t>(PatternByte(acked + off) ^ 0xFF);
     }
-    check(host::x_pwrite(sim, nodes[0]->client(), doomed.data(),
-                         doomed.size()) ==
-              static_cast<ssize_t>(doomed.size()),
-          "partition: local append on the isolated primary failed");
+    reporter.Check(host::x_pwrite(sim, nodes[0]->client(), doomed.data(),
+                                  doomed.size()) ==
+                       static_cast<ssize_t>(doomed.size()),
+                   "partition: local append on the isolated primary failed");
 
     // Majority side elects while the minority's outbound link is down; once
     // it heals, the deposed primary's retransmits must die at the fence.
     run_until(outbound_end + sim::Us(600));
-    check(supervisor.promotions() == 1,
-          "majority did not promote exactly once");
+    reporter.Check(supervisor.promotions() == 1,
+                   "majority did not promote exactly once");
     leader = supervisor.leader_index();
-    check(leader != 0, "partitioned member still believed leader");
-    check(supervisor.term() == 2, "promotion did not advance the term");
-    check(fenced_total() >= 1,
-          "no stale write from the deposed primary was fenced");
+    reporter.Check(leader != 0, "partitioned member still believed leader");
+    reporter.Check(supervisor.term() == 2,
+                   "promotion did not advance the term");
+    reporter.Check(fenced_total() >= 1,
+                   "no stale write from the deposed primary was fenced");
 
     // Inbound heal: the deposed primary hears the new leader, truncates its
     // divergent suffix, and rejoins as a secondary.
     run_until(inbound_end + sim::Ms(2));
-    check(supervisor.demotions() == 1, "deposed primary never stood down");
-    check(supervisor.joins() >= 1, "deposed primary was never re-admitted");
-    check(live_primaries() == 1, "not exactly one live primary after heal");
+    reporter.Check(supervisor.demotions() == 1,
+                   "deposed primary never stood down");
+    reporter.Check(supervisor.joins() >= 1,
+                   "deposed primary was never re-admitted");
+    reporter.Check(live_primaries() == 1,
+                   "not exactly one live primary after heal");
 
-    check(append_chunked(nodes[leader]->client(),
-                         stream.data() + nodes[leader]->client().written(),
-                         kPostBytes) == kPostBytes,
-          "post-failover append did not complete");
-    check(host::x_fsync(sim, nodes[leader]->client()) == 0,
-          "post-failover fsync failed");
+    const uint8_t* rest = stream.data() + nodes[leader]->client().written();
+    reporter.Check(append_chunked(nodes[leader]->client(), rest, kPostBytes),
+                   "post-failover append did not complete");
+    reporter.Check(host::x_fsync(sim, nodes[leader]->client()) == 0,
+                   "post-failover fsync failed");
     sim.RunFor(sim::Ms(2));  // stream the rejoined member to convergence
-    check(credit(leader) >= acked, "new leader lost acknowledged bytes");
+    reporter.Check(credit(leader) >= acked,
+                   "new leader lost acknowledged bytes");
     for (size_t i = 0; i < 3; ++i) {
-      check(credit(i) == credit(leader), "member did not converge");
-      check(prefix_matches(i, credit(i)),
-            "member log differs from the reference stream");
+      reporter.Check(credit(i) == credit(leader), "member did not converge");
+      reporter.Check(prefix_matches(i, credit(i)),
+                     "member log differs from the reference stream");
     }
   } else {
     // Flap: every fault window is shorter than the failure-detection
@@ -409,31 +410,35 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
     // heals the dropped traffic.
     run_until(sim::Us(1500));
     sim.RunFor(sim::Ms(2));
-    check(supervisor.promotions() == 0, "flap caused a promotion");
-    check(supervisor.demotions() == 0, "flap caused a demotion");
-    check(supervisor.removals() == 0, "flap caused a membership removal");
-    check(supervisor.leader_index() == 0, "flap moved the leader");
-    check(live_primaries() == 1, "not exactly one live primary");
-    check(append_chunked(nodes[0]->client(), stream.data() + acked,
-                         kSuffixBytes) == kSuffixBytes,
-          "post-flap append did not complete");
-    check(host::x_fsync(sim, nodes[0]->client()) == 0,
-          "post-flap fsync failed");
+    reporter.Check(supervisor.promotions() == 0, "flap caused a promotion");
+    reporter.Check(supervisor.demotions() == 0, "flap caused a demotion");
+    reporter.Check(supervisor.removals() == 0,
+                   "flap caused a membership removal");
+    reporter.Check(supervisor.leader_index() == 0, "flap moved the leader");
+    reporter.Check(live_primaries() == 1, "not exactly one live primary");
+    const uint8_t* rest = stream.data() + acked;
+    reporter.Check(append_chunked(nodes[0]->client(), rest, kSuffixBytes),
+                   "post-flap append did not complete");
+    reporter.Check(host::x_fsync(sim, nodes[0]->client()) == 0,
+                   "post-flap fsync failed");
     leader = 0;
+    reporter.Check(credit(0) >= acked, "flap lost acknowledged bytes");
     for (size_t i = 0; i < 3; ++i) {
-      check(credit(i) == credit(0), "member did not converge after flap");
-      check(prefix_matches(i, credit(i)),
-            "member log differs from the reference stream");
+      reporter.Check(credit(i) == credit(0),
+                     "member did not converge after flap");
+      reporter.Check(prefix_matches(i, credit(i)),
+                     "member log differs from the reference stream");
     }
-    check(injector->totals().ntb_dropped >= 1, "plan injected no faults");
+    reporter.Check(injector->totals().ntb_dropped >= 1,
+                   "plan injected no faults");
   }
 
   obs::BreakdownReporter breakdown("ha_campaign");
   breakdown.AddRun(label, spans);
   breakdown.ExportGauges(&reporter.registry(),
                          "bench.ha_campaign." + label + ".");
-  check(breakdown.conservation_violations() == 0,
-        "latency attribution violated segment/e2e conservation");
+  reporter.Check(breakdown.conservation_violations() == 0,
+                 "latency attribution violated segment/e2e conservation");
 
   reporter.SetResult(label, "acked", static_cast<double>(acked));
   reporter.SetResult(label, "final_credit",
@@ -447,10 +452,13 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
   reporter.SetResult(label, "joins", static_cast<double>(supervisor.joins()));
   reporter.SetResult(label, "fenced_writes",
                      static_cast<double>(fenced_total()));
-  reporter.SetResult(label, "invariant_failures",
-                     static_cast<double>(failures));
   // Nonzero means some scenario step asked for a past timestamp and the
   // scheduler clamped it to Now() — an ordering bug in the scenario.
+  reporter.Check(sim.past_schedule_clamps() == 0,
+                 "the scheduler clamped a past-timestamp schedule");
+  const int failures = reporter.gate_failures();
+  reporter.SetResult(label, "invariant_failures",
+                     static_cast<double>(failures));
   reporter.SetResult(label, "schedule_past_clamps",
                      static_cast<double>(sim.past_schedule_clamps()));
   std::printf("plan=%s seed=%llu acked=%llu final=%llu promotions=%llu "
@@ -462,7 +470,6 @@ int RunCampaign(bench::BenchReporter& reporter, const fault::FaultPlan& plan,
               static_cast<unsigned long long>(fenced_total()),
               failures == 0 ? "OK" : "FAILED");
   supervisor.Stop();
-  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -490,33 +497,27 @@ int main(int argc, char** argv) {
   std::string plan_arg = "kill-primary";
   uint64_t seed = 1;
   const std::vector<std::string>& args = reporter.positional();
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--plan" && i + 1 < args.size()) {
-      plan_arg = args[++i];
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = reporter.U64Flag("--seed", args[++i]);
+  // BenchReporter passes only the declared flags, each with its value.
+  for (size_t i = 0; i < args.size(); i += 2) {
+    if (args[i] == "--plan") {
+      plan_arg = args[i + 1];
     } else {
-      std::fprintf(stderr,
-                   "usage: ha_campaign [--plan name|path] [--seed N] "
-                   "[--metrics out.json]\n  embedded plans:");
-      for (const EmbeddedPlan& p : kEmbeddedPlans) {
-        std::fprintf(stderr, " %s", p.name);
-      }
-      std::fprintf(stderr, "\n");
-      return 2;
+      seed = reporter.U64Flag("--seed", args[i + 1]);
     }
   }
 
   Result<fault::FaultPlan> plan = ResolvePlan(plan_arg);
   if (!plan.ok()) {
-    std::fprintf(stderr, "cannot load plan '%s': %s\n", plan_arg.c_str(),
-                 plan.status().ToString().c_str());
-    return 2;
+    std::string error = "cannot load plan '" + plan_arg + "': ";
+    error += plan.status().ToString() + "\n  embedded plans:";
+    for (const EmbeddedPlan& p : kEmbeddedPlans) {
+      error += std::string(" ") + p.name;
+    }
+    reporter.UsageExit(error);
   }
 
   bench::PrintHeader("HA campaign: " + plan->name + " (seed " +
                      std::to_string(seed) + ")");
-  int rc = RunCampaign(reporter, *plan, seed);
-  int finish_rc = reporter.Finish();
-  return rc != 0 ? rc : finish_rc;
+  RunCampaign(reporter, *plan, seed);
+  return reporter.Finish();
 }

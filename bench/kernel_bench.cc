@@ -1,17 +1,20 @@
 // DES-kernel microbench: replays four representative event mixes against
 // the serial timer-wheel backend (and, for the multi-fabric mix, the
 // parallel backend) and writes BENCH_kernel.json — the per-PR point on the
-// repo's perf trajectory (see TESTING.md "Performance trajectory"). CI
-// gates on the wheel's events/sec staying above the checked-in floor in
-// bench/baselines/kernel_floor.json and (on multi-core runners) on the
-// parallel backend's speedup over the serial wheel for the multi-fabric
-// mix.
+// repo's perf trajectory (see TESTING.md "Performance trajectory").
 //
 // Usage:
 //   kernel_bench [--out BENCH_kernel.json] [--events N] [--seed S]
-//                [--mix uniform|pipeline|fuzz|fabric|all]
+//                [--mix uniform|pipeline|fuzz|fabric|all] [--floor PATH]
 //
-// A malformed or unknown argument prints usage and exits with status 2.
+// A malformed or unknown argument, or a --floor file that is missing or
+// malformed, prints usage and exits with status 2. The bench exits 1 when
+// a gate fails: every mix must run events, the parallel fabric row must
+// execute the wheel's event count, and with the default seed and size
+// each mix's wheel peak_pending must equal its recorded value. With
+// --floor (bench/baselines/kernel_floor.json) the wheel's events/sec and
+// allocs/event must meet the floor, and on a runner with >= 2 hardware
+// threads so must the fabric mix's parallel-vs-wheel speedup.
 // The virtual-time workload is identical across backends (same seeds, same
 // event order), so only the wall-clock cost of the scheduler differs. The
 // parallel backend is meaningless for the single-domain mixes (it
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -319,9 +323,23 @@ void WriteStats(FILE* f, const char* backend, const MixStats& s) {
 [[noreturn]] void UsageExit(const char* argv0, const std::string& error) {
   std::fprintf(stderr,
                "%s: %s\nusage: %s [--out PATH] [--events N] [--seed S] "
-               "[--mix uniform|pipeline|fuzz|fabric|all]\n",
+               "[--mix uniform|pipeline|fuzz|fabric|all] [--floor PATH]\n",
                argv0, error.c_str(), argv0);
   std::exit(2);
+}
+
+constexpr uint64_t kDefaultEvents = 2000000;
+constexpr uint64_t kDefaultSeed = 1;
+
+// Wheel peak_pending of each mix at the default seed and size. It is
+// sampled at event execution, so it is a fixed property of each serial
+// workload (the parallel backend sees cross arrivals land at window
+// boundaries, so its sample may legitimately differ).
+size_t DefaultPeakPending(const std::string& mix) {
+  if (mix == "uniform") return 8191;
+  if (mix == "pipeline") return 1692;
+  if (mix == "fuzz") return 33071;
+  return 8226;  // fabric
 }
 
 }  // namespace
@@ -331,8 +349,10 @@ int main(int argc, char** argv) {
                                            "fabric"};
   std::string out_path = "BENCH_kernel.json";
   std::string mix_arg = "all";
-  uint64_t events = 2000000;
-  uint64_t seed = 1;
+  uint64_t events = kDefaultEvents;
+  uint64_t seed = kDefaultSeed;
+  std::string floor_path;
+  std::map<std::string, double> floor;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -361,6 +381,19 @@ int main(int argc, char** argv) {
                                         mix_arg) == kMixes.end()) {
         UsageExit(argv[0], "unknown mix '" + mix_arg + "'");
       }
+    } else if (arg == "--floor") {
+      floor_path = value();
+      std::vector<std::string> keys;
+      for (const std::string& mix : kMixes) {
+        keys.push_back("min_events_per_sec." + mix);
+      }
+      keys.push_back("max_allocs_per_event");
+      keys.push_back("min_fabric_parallel_vs_wheel_speedup");
+      auto read = xssd::bench::ReadFloor(floor_path, keys);
+      if (!read.ok()) {
+        UsageExit(argv[0], "--floor: " + read.status().ToString());
+      }
+      floor = *read;
     } else {
       UsageExit(argv[0], "unknown argument " + arg);
     }
@@ -369,6 +402,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> mixes =
       mix_arg == "all" ? kMixes : std::vector<std::string>{mix_arg};
 
+  const unsigned threads = std::thread::hardware_concurrency();
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -381,9 +415,10 @@ int main(int argc, char** argv) {
                "  \"config\": {\"seed\": %" PRIu64 ", \"events_per_mix\": %" PRIu64
                ", \"fabric_domains\": %u, \"hardware_threads\": %u},\n"
                "  \"mixes\": {\n",
-               seed, events, kFabricDomains,
-               std::thread::hardware_concurrency());
+               seed, events, kFabricDomains, threads);
 
+  xssd::bench::Gates gates;
+  const bool defaults = seed == kDefaultSeed && events == kDefaultEvents;
   double min_wheel_eps = -1.0;
   double fabric_par_speedup = -1.0;
   for (size_t m = 0; m < mixes.size(); ++m) {
@@ -399,6 +434,24 @@ int main(int argc, char** argv) {
     if (min_wheel_eps < 0 || wheel.events_per_sec < min_wheel_eps) {
       min_wheel_eps = wheel.events_per_sec;
     }
+    gates.Check(wheel.events > 0 && wheel.wall_sec > 0,
+                mix + ": the wheel ran no events");
+    if (defaults) {
+      gates.Check(wheel.peak_pending == DefaultPeakPending(mix),
+                  mix + ": wheel peak_pending " +
+                      std::to_string(wheel.peak_pending) + " != " +
+                      std::to_string(DefaultPeakPending(mix)));
+    }
+    if (!floor.empty()) {
+      const double need = floor["min_events_per_sec." + mix];
+      gates.Check(wheel.events_per_sec >= need,
+                  mix + ": wheel " + std::to_string(wheel.events_per_sec) +
+                      " ev/s under the floor " + std::to_string(need));
+      gates.Check(wheel.allocs_per_event <= floor["max_allocs_per_event"],
+                  mix + ": allocs/event " +
+                      std::to_string(wheel.allocs_per_event) +
+                      " over the floor");
+    }
     if (mix == "fabric") {
       MixStats par =
           RunMix(mix, Simulator::SchedulerBackend::kParallel, seed, events);
@@ -407,12 +460,24 @@ int main(int argc, char** argv) {
                   par.peak_pending);
       std::fprintf(f, ",\n");
       WriteStats(f, "parallel", par);
+      // Identical virtual workload on both backends.
+      gates.Check(par.wall_sec > 0 && par.events == wheel.events,
+                  "fabric: the parallel event count diverged from the wheel");
       if (wheel.events_per_sec > 0) {
         fabric_par_speedup = par.events_per_sec / wheel.events_per_sec;
         std::fprintf(f, ",\n      \"parallel_vs_wheel_speedup\": %.3f",
                      fabric_par_speedup);
         std::printf("%-8s par/wheel %.2fx\n", mix.c_str(),
                     fabric_par_speedup);
+      }
+      if (!floor.empty() && threads >= 2) {
+        const double need = floor["min_fabric_parallel_vs_wheel_speedup"];
+        gates.Check(fabric_par_speedup >= need,
+                    "fabric: parallel speedup " +
+                        std::to_string(fabric_par_speedup) + "x under " +
+                        std::to_string(need) + "x");
+      } else if (!floor.empty()) {
+        std::printf("single-thread runner: parallel speedup not gated\n");
       }
     }
     std::fprintf(f, "\n    }%s\n", m + 1 < mixes.size() ? "," : "");
@@ -427,5 +492,9 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  if (!floor.empty()) {
+    std::printf("floor %s: %s\n", floor_path.c_str(),
+                gates.failures() == 0 ? "met" : "MISSED");
+  }
+  return gates.ExitCode();
 }

@@ -1,10 +1,15 @@
-// Observability overhead bench: the cost of the PR's always-on pieces,
-// measured so the zero-perturbation claim ("sampling changes no events")
-// is paired with a wall-clock claim ("and it is cheap"). Writes
-// BENCH_obs.json — the per-PR point on the repo's perf trajectory — and
-// CI gates it against the floors in bench/baselines/obs_floor.json.
+// Observability overhead bench: the cost of the always-on observability
+// pieces, measured so the zero-perturbation claim ("sampling changes no
+// events") is paired with a wall-clock claim ("and it is cheap"). Writes
+// BENCH_obs.json — the per-PR point on the repo's perf trajectory.
 //
-//   obs_bench [--out BENCH_obs.json] [--events N] [--seed S]
+//   obs_bench [--out BENCH_obs.json] [--events N] [--seed S] [--floor PATH]
+//
+// A malformed or unknown argument, or a --floor file that is missing or
+// malformed, prints usage and exits 2. The bench exits 1 when the sampled
+// run diverged from the unsampled one or closed no windows, and, given
+// --floor (bench/baselines/obs_floor.json), when a throughput falls under
+// its floor or the sampler overhead ratio exceeds its ceiling.
 //
 // Three measurements:
 //  * sampler off: a synthetic event mix (counter bumps, gauge updates,
@@ -22,7 +27,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "obs/flightrec.h"
@@ -130,6 +137,11 @@ FrStats RunFlightRec(uint64_t appends) {
   return out;
 }
 
+// The fields of bench/baselines/obs_floor.json that --floor gates.
+const std::vector<std::string> kFloorKeys = {
+    "min_unsampled_events_per_sec", "min_sampled_events_per_sec",
+    "max_sampler_overhead_ratio", "min_flightrec_appends_per_sec"};
+
 }  // namespace
 }  // namespace xssd
 
@@ -138,16 +150,19 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_obs.json";
   uint64_t events = 2000000;
   uint64_t seed = 1;
+  std::string floor_path;
+  std::map<std::string, double> floor;
   auto usage = [](const std::string& error) {
     std::fprintf(stderr,
                  "obs_bench: %s\nusage: obs_bench [--out BENCH_obs.json] "
-                 "[--events N] [--seed S]\n",
+                 "[--events N] [--seed S] [--floor PATH]\n",
                  error.c_str());
     return 2;
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg != "--out" && arg != "--events" && arg != "--seed") {
+    if (arg != "--out" && arg != "--events" && arg != "--seed" &&
+        arg != "--floor") {
       return usage("unknown argument " + arg);
     }
     if (i + 1 >= argc) return usage(arg + " needs a value");
@@ -158,6 +173,11 @@ int main(int argc, char** argv) {
       if (!bench::ParseU64(text, &events) || events == 0) {
         return usage("--events needs a positive integer, got '" + text + "'");
       }
+    } else if (arg == "--floor") {
+      floor_path = text;
+      auto read = bench::ReadFloor(floor_path, kFloorKeys);
+      if (!read.ok()) return usage("--floor: " + read.status().ToString());
+      floor = *read;
     } else if (!bench::ParseU64(text, &seed)) {
       return usage("--seed needs an unsigned integer, got '" + text + "'");
     }
@@ -169,21 +189,12 @@ int main(int argc, char** argv) {
 
   // The zero-perturbation invariant, cheap enough to assert every run:
   // the sampled run executed the same events to the same virtual time.
-  if (off.events != on.events || off.end_ns != on.end_ns ||
-      off.counter_total != on.counter_total) {
-    std::fprintf(stderr,
-                 "PERTURBATION: off(events=%" PRIu64 " end=%" PRIu64
-                 " ops=%" PRIu64 ") != on(events=%" PRIu64 " end=%" PRIu64
-                 " ops=%" PRIu64 ")\n",
-                 off.events, static_cast<uint64_t>(off.end_ns),
-                 off.counter_total, on.events,
-                 static_cast<uint64_t>(on.end_ns), on.counter_total);
-    return 1;
-  }
-  if (on.windows == 0) {
-    std::fprintf(stderr, "sampler closed no windows — bench broken\n");
-    return 1;
-  }
+  bench::Gates gates;
+  gates.Check(off.events == on.events && off.end_ns == on.end_ns &&
+                  off.counter_total == on.counter_total,
+              "the sampled run diverged from the unsampled one (events, "
+              "virtual end time or op count)");
+  gates.Check(on.windows > 0, "the sampler closed no windows");
 
   double overhead =
       off.wall_sec > 0 ? on.wall_sec / off.wall_sec : 1.0;
@@ -193,6 +204,18 @@ int main(int argc, char** argv) {
               " windows, overhead x%.3f)\n",
               on.events_per_sec, on.windows, overhead);
   std::printf("flightrec:   %.0f appends/sec\n", fr.appends_per_sec);
+  if (!floor.empty()) {
+    gates.Check(off.events_per_sec >= floor["min_unsampled_events_per_sec"],
+                "unsampled events/sec under the floor");
+    gates.Check(on.events_per_sec >= floor["min_sampled_events_per_sec"],
+                "sampled events/sec under the floor");
+    gates.Check(overhead <= floor["max_sampler_overhead_ratio"],
+                "sampler overhead ratio over the ceiling");
+    gates.Check(fr.appends_per_sec >= floor["min_flightrec_appends_per_sec"],
+                "flight-recorder appends/sec under the floor");
+    std::printf("floor %s: %s\n", floor_path.c_str(),
+                gates.failures() == 0 ? "met" : "MISSED");
+  }
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -220,5 +243,5 @@ int main(int argc, char** argv) {
                fr.appends_per_sec, fr.wall_sec);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return gates.ExitCode();
 }

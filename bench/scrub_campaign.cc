@@ -79,24 +79,13 @@ ftl::ScrubConfig CampaignScrub(bool enabled) {
   return config;
 }
 
-struct Gate {
-  int failures = 0;
-  void Check(bool ok, const char* what) {
-    if (!ok) {
-      std::fprintf(stderr, "GATE FAILED: %s\n", what);
-      ++failures;
-    }
-  }
-};
-
 uint8_t OracleByte(uint64_t lpn, uint64_t seed) {
   return static_cast<uint8_t>(lpn * 131 + seed * 7 + 1);
 }
 
 // One aging run. The scrubber's self-rearming tick keeps the event queue
 // populated, so every pump is time-bounded (RunFor), never Run().
-int RunAging(bench::BenchReporter& reporter, uint64_t seed, bool scrub_on,
-             Gate& gate) {
+void RunAging(bench::BenchReporter& reporter, uint64_t seed, bool scrub_on) {
   const std::string label = scrub_on ? "scrub_on" : "scrub_off";
   sim::Simulator sim;
   flash::Array array(&sim, CampaignGeometry(), flash::Timing{},
@@ -123,7 +112,7 @@ int RunAging(bench::BenchReporter& reporter, uint64_t seed, bool scrub_on,
   Status flushed = Status::Internal("pending");
   ftl.Flush([&](Status s) { flushed = s; });
   sim.RunFor(sim::Ms(100));
-  gate.Check(flushed.ok(), "fill-phase flush failed");
+  reporter.Check(flushed.ok(), "fill-phase flush failed");
 
   // Aging: long retention dwell punctuated by hot-set reads (disturb) and
   // a light write trickle. 12 rounds x 2 s of cold dwell; the scrubber
@@ -192,18 +181,18 @@ int RunAging(bench::BenchReporter& reporter, uint64_t seed, bool scrub_on,
   const ftl::ScrubStats& sstats = scrubber.stats();
 
   if (scrub_on) {
-    gate.Check(corrupt_lpns == 0 && mismatched_lpns == 0,
-               "acked bytes lost under retention+disturb with scrub ON");
-    gate.Check(fstats.uncorrectable_reads == 0,
-               "uncorrectable reads leaked through with scrub ON");
+    reporter.Check(corrupt_lpns == 0 && mismatched_lpns == 0,
+                   "acked bytes lost under retention+disturb with scrub ON");
+    reporter.Check(fstats.uncorrectable_reads == 0,
+                   "uncorrectable reads leaked through with scrub ON");
     std::vector<check::Divergence> divergences =
         check::CheckRebuildMatches(ftl, array.geometry());
     for (const check::Divergence& d : divergences) {
       std::fprintf(stderr, "rebuild divergence: %s — %s\n", d.rule.c_str(),
                    d.detail.c_str());
     }
-    gate.Check(divergences.empty(), "OOB rebuild diverged with scrub ON");
-    gate.Check(sstats.refreshes > 0, "scrubber never refreshed a block");
+    reporter.Check(divergences.empty(), "OOB rebuild diverged with scrub ON");
+    reporter.Check(sstats.refreshes > 0, "scrubber never refreshed a block");
     // Budget: everything the scrubber read or relocated must fit the token
     // rate (one bucket of slack for the initial fill of the bucket).
     const double budget_spent =
@@ -212,21 +201,21 @@ int RunAging(bench::BenchReporter& reporter, uint64_t seed, bool scrub_on,
     const double budget_earned =
         CampaignScrub(true).pages_per_sec * elapsed_sec +
         static_cast<double>(CampaignGeometry().pages_per_block);
-    gate.Check(budget_spent <= budget_earned,
-               "scrubber overdrew its pages/sec budget");
+    reporter.Check(budget_spent <= budget_earned,
+                   "scrubber overdrew its pages/sec budget");
     reporter.SetResult(label, "rebuild_mismatch",
                        static_cast<double>(divergences.size()));
   } else {
-    gate.Check(fstats.uncorrectable_reads > 0,
-               "aging never produced an uncorrectable read with scrub OFF "
-               "(the threat model is vacuous)");
-    gate.Check(corrupt_lpns > 0,
-               "no acked-byte loss surfaced with scrub OFF");
-    gate.Check(astats.retry_exhausted > 0,
-               "retry ladder never exhausted with scrub OFF");
-    gate.Check(astats.read_retries > 0, "retry ladder never engaged");
-    gate.Check(fstats.escalations > 0,
-               "uncorrectable reads never escalated to block retirement");
+    reporter.Check(fstats.uncorrectable_reads > 0,
+                   "aging never produced an uncorrectable read with scrub OFF "
+                   "(the threat model is vacuous)");
+    reporter.Check(corrupt_lpns > 0,
+                   "no acked-byte loss surfaced with scrub OFF");
+    reporter.Check(astats.retry_exhausted > 0,
+                   "retry ladder never exhausted with scrub OFF");
+    reporter.Check(astats.read_retries > 0, "retry ladder never engaged");
+    reporter.Check(fstats.escalations > 0,
+                   "uncorrectable reads never escalated to block retirement");
   }
 
   reporter.SetResult(label, "corrupt_lpns",
@@ -266,7 +255,6 @@ int RunAging(bench::BenchReporter& reporter, uint64_t seed, bool scrub_on,
       static_cast<unsigned long long>(sstats.refreshes),
       static_cast<unsigned long long>(sstats.patrol_reads),
       static_cast<unsigned long long>(fstats.escalations));
-  return gate.failures;
 }
 
 // Destage-priority probe with the scrubber running: the patrol traffic is
@@ -274,7 +262,7 @@ int RunAging(bench::BenchReporter& reporter, uint64_t seed, bool scrub_on,
 // measures must survive it. Media decay is off for this phase — the
 // scrubber still ticks and patrol-reads, but the workload (and the queue
 // drains between bursts) stays comparable to ftl_campaign's.
-int RunPriority(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
+void RunPriority(bench::BenchReporter& reporter, uint64_t seed) {
   flash::Reliability steady;
   steady.raw_bit_error_rate = 5e-5;
   sim::Simulator sim;
@@ -293,7 +281,7 @@ int RunPriority(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
   Status flushed = Status::Internal("pending");
   ftl.Flush([&](Status s) { flushed = s; });
   sim.RunFor(sim::Ms(100));
-  gate.Check(flushed.ok(), "priority-phase fill flush failed");
+  reporter.Check(flushed.ok(), "priority-phase fill flush failed");
 
   const uint64_t log_ring = 256;
   const uint64_t warm_set = lpns - log_ring;
@@ -338,13 +326,13 @@ int RunPriority(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
   ftl.scheduler().set_policy(ftl::SchedulingPolicy::kNeutral);
   const double wait_neutral = churn(8000);
 
-  gate.Check(wait_priority > 0 && wait_neutral > 0,
-             "priority probe issued no destage traffic");
-  gate.Check(wait_neutral >= 3.0 * wait_priority,
-             "destage priority worth < 3x on queue wait with the scrubber "
-             "running");
-  gate.Check(ftl.stats().gc_erases > 100,
-             "priority probe never forced a GC storm");
+  reporter.Check(wait_priority > 0 && wait_neutral > 0,
+                 "priority probe issued no destage traffic");
+  reporter.Check(wait_neutral >= 3.0 * wait_priority,
+                 "destage priority worth < 3x on queue wait with the scrubber "
+                 "running");
+  reporter.Check(ftl.stats().gc_erases > 100,
+                 "priority probe never forced a GC storm");
 
   reporter.SetResult("priority", "destage_mean_wait_priority_us",
                      wait_priority);
@@ -358,7 +346,6 @@ int RunPriority(bench::BenchReporter& reporter, uint64_t seed, Gate& gate) {
               wait_priority > 0 ? wait_neutral / wait_priority : 0.0,
               static_cast<unsigned long long>(
                   scrubber.stats().deferred_busy));
-  return gate.failures;
 }
 
 }  // namespace
@@ -371,14 +358,9 @@ int main(int argc, char** argv) {
 
   uint64_t seed = 1;
   const std::vector<std::string>& args = reporter.positional();
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = reporter.U64Flag("--seed", args[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: scrub_campaign [--seed N] [--metrics out.json]\n");
-      return 2;
-    }
+  // BenchReporter passes only --seed, the one declared flag, with its value.
+  for (size_t i = 0; i < args.size(); i += 2) {
+    seed = reporter.U64Flag("--seed", args[i + 1]);
   }
 
   bench::PrintHeader("Media-reliability scrub campaign (seed " +
@@ -395,15 +377,14 @@ int main(int argc, char** argv) {
     pressure.for_windows = 3;
     reporter.AddSloRule(pressure);
   }
-  Gate gate;
-  RunAging(reporter, seed, /*scrub_on=*/false, gate);
-  RunAging(reporter, seed, /*scrub_on=*/true, gate);
-  RunPriority(reporter, seed, gate);
+  RunAging(reporter, seed, /*scrub_on=*/false);
+  RunAging(reporter, seed, /*scrub_on=*/true);
+  RunPriority(reporter, seed);
+  const int failures = reporter.gate_failures();
   reporter.SetResult("campaign", "gate_failures",
-                     static_cast<double>(gate.failures));
+                     static_cast<double>(failures));
   std::printf("scrub_campaign seed=%llu %s (%d gate failures)\n",
               static_cast<unsigned long long>(seed),
-              gate.failures == 0 ? "OK" : "FAILED", gate.failures);
-  int finish_rc = reporter.Finish();
-  return gate.failures != 0 ? 1 : finish_rc;
+              failures == 0 ? "OK" : "FAILED", failures);
+  return reporter.Finish();
 }
