@@ -56,8 +56,12 @@ int main() {
       std::swap((*order)[i - 1], (*order)[rng.Uniform(i)]);
     }
 
-    auto fill = std::make_shared<std::function<void(size_t)>>();
-    *fill = [&, id, batch, base, order, fill](size_t index) {
+    // The closure holds itself weakly; the pending write's callback owns
+    // it, so it is freed when the batch ends.
+    using Fill = std::function<void(size_t)>;
+    auto fill = std::make_shared<Fill>();
+    *fill = [&, id, batch, base, order,
+             weak_fill = std::weak_ptr<Fill>(fill)](size_t index) {
       if (index == order->size()) {
         Status freed = node.client().XFree(base);
         if (!freed.ok()) {
@@ -69,7 +73,8 @@ int main() {
       }
       std::vector<uint8_t> block(256, static_cast<uint8_t>(id * 16 + batch));
       node.client().WriteAt(base + (*order)[index], block.data(),
-                            block.size(), [fill, index](Status) {
+                            block.size(),
+                            [fill = weak_fill.lock(), index](Status) {
                               (*fill)(index + 1);
                             });
     };

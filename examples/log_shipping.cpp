@@ -20,9 +20,7 @@ using namespace xssd;
 namespace {
 
 Status Promote(host::StorageNode& node) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
-  cmd.cdw10 = static_cast<uint32_t>(core::Role::kPrimary);
+  nvme::Command cmd = nvme::SetRoleCmd(core::Role::kPrimary, 0);
   host::SyncRunner runner(&node.simulator());
   return runner.Await([&](std::function<void(Status)> done) {
     node.driver().Admin(cmd, [done = std::move(done)](

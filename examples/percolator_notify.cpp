@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "db/log_record.h"
@@ -34,8 +35,10 @@ int main() {
   int active_producers = kProducers;
   uint64_t produced = 0;
   uint64_t produced_bytes = 0;
-  auto produce = std::make_shared<std::function<void(int, int)>>();
-  *produce = [&, produce](int id, int remaining) {
+  // Plain locals: every callback that re-enters them runs inside this
+  // function's simulator calls, so capturing them by reference is safe.
+  std::function<void(int, int)> produce;
+  produce = [&](int id, int remaining) {
     if (remaining == 0) {
       if (--active_producers == 0) {
         // End-of-stream flush: a filler run larger than the observer's
@@ -55,19 +58,19 @@ int main() {
     std::vector<uint8_t> wire;
     db::SerializeLogRecord(note, &wire);
     produced_bytes += wire.size();
-    node.client().Append(wire.data(), wire.size(), [&, produce, id,
-                                                    remaining](Status s) {
-      if (!s.ok()) {
-        --active_producers;
-        return;
-      }
-      sim.Schedule(sim::Us(5 + rng.Uniform(40)), [produce, id, remaining]() {
-        (*produce)(id, remaining - 1);
-      });
-    });
+    node.client().Append(
+        wire.data(), wire.size(), [&, id, remaining](Status s) {
+          if (!s.ok()) {
+            --active_producers;
+            return;
+          }
+          sim.Schedule(sim::Us(5 + rng.Uniform(40)), [&, id, remaining]() {
+            produce(id, remaining - 1);
+          });
+        });
   };
   for (int id = 0; id < kProducers; ++id) {
-    (*produce)(id, kNotificationsPerProducer);
+    produce(id, kNotificationsPerProducer);
   }
 
   // Observer: tail the destaged log, reassembling records across reads.
@@ -75,12 +78,11 @@ int main() {
   uint64_t observed_bytes = 0;
   std::vector<uint8_t> backlog;
   bool stop = false;
-  auto observe = std::make_shared<std::function<void()>>();
-  *observe = [&, observe]() {
+  std::function<void()> observe;
+  observe = [&]() {
     if (stop) return;
     node.client().ReadTail(
-        &node.driver(), 256,
-        [&, observe](Status s, std::vector<uint8_t> chunk) {
+        &node.driver(), 256, [&](Status s, std::vector<uint8_t> chunk) {
           if (!s.ok()) {
             stop = true;
             return;
@@ -100,10 +102,10 @@ int main() {
             ++observed;
           }
           backlog.erase(backlog.begin(), backlog.begin() + offset);
-          (*observe)();
+          observe();
         });
   };
-  (*observe)();
+  observe();
 
   // Run until all producers finish and the observer caught up.
   const uint64_t expected = kProducers * kNotificationsPerProducer;
@@ -116,7 +118,7 @@ int main() {
               produced, observed, observed_bytes);
   std::printf("virtual time: %.2f ms; destage pages: %lu (%lu partial)\n",
               sim::ToMs(sim.Now()),
-              node.device().destage().stats().pages_written,
-              node.device().destage().stats().partial_pages);
+              node.device().destage().stats().pages_written.value(),
+              node.device().destage().stats().partial_pages.value());
   return observed == expected ? 0 : 1;
 }

@@ -63,9 +63,9 @@ int main() {
   std::printf("  \"%.47s...\"\n", tail.data());
 
   std::printf("destage stats: %lu pages (%lu partial), %lu stream bytes\n",
-              node.device().destage().stats().pages_written,
-              node.device().destage().stats().partial_pages,
-              node.device().destage().stats().stream_bytes);
+              node.device().destage().stats().pages_written.value(),
+              node.device().destage().stats().partial_pages.value(),
+              node.device().destage().stats().stream_bytes.value());
   std::printf("virtual time elapsed: %.1f us\n", sim::ToUs(sim.Now()));
   return 0;
 }

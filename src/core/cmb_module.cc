@@ -26,12 +26,14 @@ CmbModule::CmbModule(sim::Simulator* sim, const CmbConfig& config)
 
 void CmbModule::SetMetrics(obs::MetricsRegistry* registry,
                            const std::string& prefix) {
-  m_append_bytes_ = registry->GetCounter(prefix + "cmb.append_bytes");
-  m_append_chunks_ = registry->GetCounter(prefix + "cmb.append_chunks");
-  m_persisted_bytes_ = registry->GetCounter(prefix + "cmb.persisted_bytes");
-  m_overwrite_violations_ =
-      registry->GetCounter(prefix + "cmb.overwrite_violations");
-  m_powerloss_drains_ = registry->GetCounter(prefix + "cmb.powerloss_drains");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(append_bytes_, "cmb.append_bytes");
+  publish(append_chunks_, "cmb.append_chunks");
+  publish(persisted_bytes_, "cmb.persisted_bytes");
+  publish(overwrite_violations_, "cmb.overwrite_violations");
+  publish(powerloss_drains_, "cmb.powerloss_drains");
   m_staging_occupancy_ =
       registry->GetGauge(prefix + "cmb.staging_occupancy_bytes");
   m_credit_ = registry->GetGauge(prefix + "cmb.credit");
@@ -60,7 +62,6 @@ void CmbModule::OnRingWrite(uint64_t ring_offset, const uint8_t* data,
                             "counting silently from here on)";
     }
     ++overwrite_violations_;
-    if (m_overwrite_violations_) m_overwrite_violations_->Add();
   }
 
   // Open the chunk's staging span under the ambient request context (the
@@ -78,10 +79,8 @@ void CmbModule::OnRingWrite(uint64_t ring_offset, const uint8_t* data,
   if (arrival_observer_) arrival_observer_(stream_offset, data, len);
   if (arrival_hook_) arrival_hook_(stream_offset, data, len);
 
-  if (m_append_bytes_) {
-    m_append_bytes_->Add(len);
-    m_append_chunks_->Add();
-  }
+  append_bytes_ += len;
+  ++append_chunks_;
 
   // Stage, then proactively dequeue into backing memory (Figure 5, 1→2).
   staging_.push_back(
@@ -145,7 +144,7 @@ void CmbModule::Persist(uint64_t stream_offset, std::vector<uint8_t> data,
   received_.Insert(stream_offset, stream_offset + data.size());
   highest_received_ =
       std::max(highest_received_, stream_offset + data.size());
-  if (m_persisted_bytes_) m_persisted_bytes_->Add(data.size());
+  persisted_bytes_ += data.size();
   if (spans_) spans_->EndSpan(span);
   AdvanceCredit();
 }
@@ -190,7 +189,7 @@ void CmbModule::DrainStagingForPowerLoss() {
   // inside the device is flushed to the ring. Bytes still on the PCIe link
   // never arrived and are simply absent (potentially leaving a gap).
   ++drain_epoch_;
-  if (m_powerloss_drains_) m_powerloss_drains_->Add();
+  ++powerloss_drains_;
   while (!staging_.empty()) {
     Staged chunk = std::move(staging_.front());
     staging_.pop_front();

@@ -176,7 +176,11 @@ class CmbModule {
   uint64_t highest_received_ = 0;
   uint64_t destaged_floor_ = 0;
   uint64_t staging_bytes_ = 0;
-  uint64_t overwrite_violations_ = 0;
+  obs::Tally overwrite_violations_;
+  obs::Tally append_bytes_;
+  obs::Tally append_chunks_;
+  obs::Tally persisted_bytes_;
+  obs::Tally powerloss_drains_;
 
   struct Staged {
     uint64_t stream_offset;
@@ -196,12 +200,7 @@ class CmbModule {
   obs::SpanRecorder* spans_ = nullptr;
   uint16_t span_node_ = 0;
 
-  // Observability (null until SetMetrics; hot paths test one pointer).
-  obs::Counter* m_append_bytes_ = nullptr;
-  obs::Counter* m_append_chunks_ = nullptr;
-  obs::Counter* m_persisted_bytes_ = nullptr;
-  obs::Counter* m_overwrite_violations_ = nullptr;
-  obs::Counter* m_powerloss_drains_ = nullptr;
+  // Observability (null until SetMetrics).
   obs::Gauge* m_staging_occupancy_ = nullptr;
   obs::Gauge* m_credit_ = nullptr;
 };

@@ -17,13 +17,16 @@ DestageModule::DestageModule(sim::Simulator* sim, ftl::Ftl* ftl,
 
 void DestageModule::SetMetrics(obs::MetricsRegistry* registry,
                                const std::string& prefix) {
-  m_pages_written_ = registry->GetCounter(prefix + "destage.pages_written");
-  m_partial_pages_ = registry->GetCounter(prefix + "destage.partial_pages");
-  m_filler_bytes_ = registry->GetCounter(prefix + "destage.filler_bytes");
-  m_stream_bytes_ = registry->GetCounter(prefix + "destage.stream_bytes");
-  m_write_failures_ = registry->GetCounter(prefix + "destage.write_failures");
-  m_write_retries_ = registry->GetCounter(prefix + "destage.write_retries");
-  m_ring_trims_ = registry->GetCounter(prefix + "destage.ring_trims");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(stats_.pages_written, "destage.pages_written");
+  publish(stats_.partial_pages, "destage.partial_pages");
+  publish(stats_.filler_bytes, "destage.filler_bytes");
+  publish(stats_.stream_bytes, "destage.stream_bytes");
+  publish(stats_.write_failures, "destage.write_failures");
+  publish(stats_.write_retries, "destage.write_retries");
+  publish(stats_.ring_trims, "destage.ring_trims");
   m_inflight_ = registry->GetGauge(prefix + "destage.inflight");
   m_backlog_bytes_ = registry->GetGauge(prefix + "destage.backlog_bytes");
   m_page_latency_us_ =
@@ -140,7 +143,6 @@ void DestageModule::EmitPage(uint32_t len) {
     // walk stops at a stale sequence and at an unwritten page alike.)
     ftl_->Trim(lba);
     ++stats_.ring_trims;
-    if (m_ring_trims_) m_ring_trims_->Add();
     if (flightrec_ != nullptr) {
       flightrec_->Record(sim_->Now(), "destage",
                          fr_tag_ + "ring wrap: trimmed slot lba " +
@@ -192,13 +194,12 @@ void DestageModule::IssuePage(uint64_t lba, std::vector<uint8_t> page,
        attempt, span](Status status) mutable {
         if (retired_) return;
         if (!status.ok()) {
-          if (m_write_failures_) m_write_failures_->Add();
+          ++stats_.write_failures;
           if (attempt < config_.max_write_retries) {
             // Retry the same extent into the same ring slot after a
             // doubling backoff. The inflight_ slot stays held so the
             // power-loss drain waits for the outcome.
             ++stats_.write_retries;
-            if (m_write_retries_) m_write_retries_->Add();
             sim::SimTime backoff = config_.retry_backoff << attempt;
             sim_->Schedule(backoff, [this, lba, page = std::move(page), begin,
                                      end, len, issued_at, attempt,
@@ -237,18 +238,12 @@ void DestageModule::IssuePage(uint64_t lba, std::vector<uint8_t> page,
         }
         ++stats_.pages_written;
         stats_.stream_bytes += len;
-        if (m_pages_written_) {
-          m_pages_written_->Add();
-          m_stream_bytes_->Add(len);
+        if (m_page_latency_us_) {
           m_page_latency_us_->Add(sim::ToUs(sim_->Now() - issued_at));
         }
         if (len < Capacity()) {
           ++stats_.partial_pages;
           stats_.filler_bytes += Capacity() - len;
-          if (m_partial_pages_) {
-            m_partial_pages_->Add();
-            m_filler_bytes_->Add(Capacity() - len);
-          }
         }
         if (spans_) spans_->EndSpan(span);
         if (durable_observer_) durable_observer_(begin, end);

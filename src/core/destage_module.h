@@ -19,12 +19,13 @@ namespace xssd::core {
 
 /// Destage statistics.
 struct DestageStats {
-  uint64_t pages_written = 0;
-  uint64_t partial_pages = 0;     ///< pages cut short by latency threshold
-  uint64_t filler_bytes = 0;
-  uint64_t stream_bytes = 0;      ///< payload destaged
-  uint64_t write_retries = 0;     ///< re-issues after a failed page write
-  uint64_t ring_trims = 0;        ///< wrapped slots invalidated before reuse
+  obs::Tally pages_written;
+  obs::Tally partial_pages;  ///< pages cut short by latency threshold
+  obs::Tally filler_bytes;
+  obs::Tally stream_bytes;    ///< payload destaged
+  obs::Tally write_failures;  ///< failed page writes, retried or not
+  obs::Tally write_retries;   ///< re-issues after a failed page write
+  obs::Tally ring_trims;      ///< wrapped slots invalidated before reuse
 };
 
 /// \brief The Destage module (paper §4.3): moves the PM ring's persisted
@@ -206,13 +207,6 @@ class DestageModule {
   DestageStats stats_;
 
   // Observability (null until SetMetrics).
-  obs::Counter* m_pages_written_ = nullptr;
-  obs::Counter* m_partial_pages_ = nullptr;
-  obs::Counter* m_filler_bytes_ = nullptr;
-  obs::Counter* m_stream_bytes_ = nullptr;
-  obs::Counter* m_write_failures_ = nullptr;
-  obs::Counter* m_write_retries_ = nullptr;
-  obs::Counter* m_ring_trims_ = nullptr;
   obs::Gauge* m_inflight_ = nullptr;
   obs::Gauge* m_backlog_bytes_ = nullptr;
   obs::LatencyRecorder* m_page_latency_us_ = nullptr;

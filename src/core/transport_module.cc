@@ -99,7 +99,6 @@ void TransportModule::SetTerm(uint64_t term, uint32_t writer_slot) {
 bool TransportModule::AdmitRingWrite(uint32_t slot) {
   if (slot < kMaxPeers && writer_terms_[slot] >= term_) return true;
   ++fenced_writes_;
-  if (m_fenced_writes_) m_fenced_writes_->Add();
   if (flightrec_ != nullptr) {
     flightrec_->Record(
         sim_->Now(), "transport",
@@ -117,22 +116,19 @@ void TransportModule::ConfigureSecondary(uint64_t primary_shadow_addr) {
 
 void TransportModule::SetMetrics(obs::MetricsRegistry* registry,
                                  const std::string& prefix) {
-  m_mirrored_bytes_ =
-      registry->GetCounter(prefix + "transport.mirrored_bytes");
-  m_mirror_chunks_ = registry->GetCounter(prefix + "transport.mirror_chunks");
-  m_counter_updates_ =
-      registry->GetCounter(prefix + "transport.counter_updates");
-  m_shadow_advances_ =
-      registry->GetCounter(prefix + "transport.shadow_advances");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(mirrored_bytes_, "transport.mirrored_bytes");
+  publish(mirror_chunks_, "transport.mirror_chunks");
+  publish(counter_updates_sent_, "transport.counter_updates");
+  publish(shadow_advances_, "transport.shadow_advances");
   m_replication_lag_bytes_ =
       registry->GetGauge(prefix + "transport.replication_lag_bytes");
-  m_retransmit_rounds_ =
-      registry->GetCounter(prefix + "transport.retransmit_rounds");
-  m_retransmitted_bytes_ =
-      registry->GetCounter(prefix + "transport.retransmitted_bytes");
-  m_degraded_entries_ =
-      registry->GetCounter(prefix + "transport.degraded_entries");
-  m_fenced_writes_ = registry->GetCounter(prefix + "transport.fenced_writes");
+  publish(retransmit_rounds_, "transport.retransmit_rounds");
+  publish(retransmitted_bytes_, "transport.retransmitted_bytes");
+  publish(degraded_entries_, "transport.degraded_entries");
+  publish(fenced_writes_, "transport.fenced_writes");
   m_degraded_ = registry->GetGauge(prefix + "transport.degraded");
 }
 
@@ -194,11 +190,10 @@ void TransportModule::OnCmbArrival(uint64_t stream_offset,
   uint64_t ring_offset = stream_offset % ring_bytes_;
   size_t first = static_cast<size_t>(
       std::min<uint64_t>(len, ring_bytes_ - ring_offset));
-  if (m_mirror_chunks_) m_mirror_chunks_->Add();
+  ++mirror_chunks_;
   if (multicast_window_ != 0) {
     // One flow; the NTB adapter fans out in hardware.
     mirrored_bytes_ += len;
-    if (m_mirrored_bytes_) m_mirrored_bytes_->Add(len);
     uint64_t base = PeerRingBase(multicast_window_);
     fabric_->PeerWrite(base + ring_offset, data, first,
                        pcie::StoreEngine::kWcLineBytes);
@@ -210,7 +205,6 @@ void TransportModule::OnCmbArrival(uint64_t stream_offset,
   }
   for (uint32_t slot : active_slots_) {
     mirrored_bytes_ += len;
-    if (m_mirrored_bytes_) m_mirrored_bytes_->Add(len);
     uint64_t base = PeerRingBase(peer_slots_[slot].window);
     fabric_->PeerWrite(base + ring_offset, data, first,
                        pcie::StoreEngine::kWcLineBytes);
@@ -238,7 +232,6 @@ void TransportModule::UpdateTick() {
     fabric_->PeerWrite(primary_shadow_addr_, payload, 8, 8);
     last_sent_credit_ = local_credit_;
     ++counter_updates_sent_;
-    if (m_counter_updates_) m_counter_updates_->Add();
   }
   uint64_t generation = timer_generation_;
   sim_->Schedule(config_.update_period, [this, generation]() {
@@ -255,7 +248,7 @@ void TransportModule::OnShadowWrite(uint32_t index, uint64_t value) {
   if (value > shadows_[index]) {
     shadows_[index] = value;
     last_shadow_advance_ = sim_->Now();
-    if (m_shadow_advances_) m_shadow_advances_->Add();
+    ++shadow_advances_;
     // Progress resets the backoff: the next silent window starts small.
     current_rto_ = config_.retransmit_timeout;
     if (degraded_ && role_ == Role::kPrimary && !active_slots_.empty() &&
@@ -313,7 +306,6 @@ void TransportModule::OnRetransmitTimer() {
         silent >= config_.degrade_timeout) {
       degraded_ = true;
       ++degraded_entries_;
-      if (m_degraded_entries_) m_degraded_entries_->Add();
       if (m_degraded_) m_degraded_->Set(1);
       XSSD_LOG(kWarning)
           << "transport: no shadow progress for " << sim::ToUs(silent)
@@ -350,14 +342,12 @@ void TransportModule::RetransmitRange(uint64_t window_base, uint64_t from) {
                          pcie::StoreEngine::kWcLineBytes);
     }
     retransmitted_bytes_ += n;
-    if (m_retransmitted_bytes_) m_retransmitted_bytes_->Add(n);
     off += n;
   }
 }
 
 void TransportModule::RetransmitRound() {
   ++retransmit_rounds_;
-  if (m_retransmit_rounds_) m_retransmit_rounds_->Add();
   if (multicast_window_ != 0) {
     // One hardware-fanned flow, replayed from the slowest peer's counter;
     // faster peers see duplicate ring bytes, which is idempotent.

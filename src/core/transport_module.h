@@ -226,7 +226,7 @@ class TransportModule {
   uint64_t term_ = 0;
   uint64_t writer_terms_[kMaxPeers] = {0};
   uint32_t member_slot_ = 0;
-  uint64_t fenced_writes_ = 0;
+  obs::Tally fenced_writes_;
 
   // Secondary state.
   uint64_t primary_shadow_addr_ = 0;
@@ -234,8 +234,10 @@ class TransportModule {
   uint64_t last_sent_credit_ = 0;
   uint64_t timer_generation_ = 0;  ///< cancels stale periodic timers
 
-  uint64_t mirrored_bytes_ = 0;
-  uint64_t counter_updates_sent_ = 0;
+  obs::Tally mirrored_bytes_;
+  obs::Tally counter_updates_sent_;
+  obs::Tally mirror_chunks_;
+  obs::Tally shadow_advances_;
   ShadowHook shadow_hook_;
   RingReader ring_reader_;
 
@@ -257,19 +259,11 @@ class TransportModule {
   uint64_t rt_generation_ = 0;   ///< cancels stale retransmit timers
   sim::SimTime current_rto_ = 0;  ///< doubles per silent round
   bool degraded_ = false;
-  uint64_t retransmit_rounds_ = 0;
-  uint64_t retransmitted_bytes_ = 0;
-  uint64_t degraded_entries_ = 0;
+  obs::Tally retransmit_rounds_;
+  obs::Tally retransmitted_bytes_;
+  obs::Tally degraded_entries_;
 
   // Observability (null until SetMetrics).
-  obs::Counter* m_mirrored_bytes_ = nullptr;
-  obs::Counter* m_mirror_chunks_ = nullptr;
-  obs::Counter* m_counter_updates_ = nullptr;
-  obs::Counter* m_shadow_advances_ = nullptr;
-  obs::Counter* m_retransmit_rounds_ = nullptr;
-  obs::Counter* m_retransmitted_bytes_ = nullptr;
-  obs::Counter* m_degraded_entries_ = nullptr;
-  obs::Counter* m_fenced_writes_ = nullptr;
   obs::Gauge* m_replication_lag_bytes_ = nullptr;
   obs::Gauge* m_degraded_ = nullptr;
 };

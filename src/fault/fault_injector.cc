@@ -13,33 +13,20 @@ FaultInjector::FaultInjector(sim::Simulator* sim, FaultPlan plan, uint64_t seed)
 }
 
 void FaultInjector::SetMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    m_flash_program_fails_ = m_flash_erase_fails_ = nullptr;
-    m_flash_read_uncorrectable_ = m_ntb_dropped_ = m_ntb_stalled_ = nullptr;
-    m_flash_retention_boosts_ = m_flash_disturb_boosts_ = nullptr;
-    m_pcie_delayed_ = m_pcie_truncated_ = m_nvme_timeouts_ = nullptr;
-    m_crashes_ = nullptr;
-    return;
-  }
-  m_flash_program_fails_ = registry->GetCounter("fault.flash.program_fails");
-  m_flash_erase_fails_ = registry->GetCounter("fault.flash.erase_fails");
-  m_flash_read_uncorrectable_ =
-      registry->GetCounter("fault.flash.read_uncorrectable");
-  m_flash_retention_boosts_ =
-      registry->GetCounter("fault.flash.retention_boosts");
-  m_flash_disturb_boosts_ =
-      registry->GetCounter("fault.flash.disturb_boosts");
-  m_ntb_dropped_ = registry->GetCounter("fault.ntb.dropped_writes");
-  m_ntb_stalled_ = registry->GetCounter("fault.ntb.stalled_writes");
-  m_pcie_delayed_ = registry->GetCounter("fault.pcie.delayed_stores");
-  m_pcie_truncated_ = registry->GetCounter("fault.pcie.truncated_stores");
-  m_nvme_timeouts_ = registry->GetCounter("fault.nvme.timeouts");
-  m_crashes_ = registry->GetCounter("fault.crashes");
-}
-
-void FaultInjector::Count(obs::Counter* counter, uint64_t* total) {
-  ++*total;
-  if (counter != nullptr) counter->Add(1);
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry != nullptr ? registry->GetCounter(name) : nullptr);
+  };
+  publish(totals_.flash_program_fails, "fault.flash.program_fails");
+  publish(totals_.flash_erase_fails, "fault.flash.erase_fails");
+  publish(totals_.flash_read_uncorrectable, "fault.flash.read_uncorrectable");
+  publish(totals_.flash_retention_boosts, "fault.flash.retention_boosts");
+  publish(totals_.flash_disturb_boosts, "fault.flash.disturb_boosts");
+  publish(totals_.ntb_dropped, "fault.ntb.dropped_writes");
+  publish(totals_.ntb_stalled, "fault.ntb.stalled_writes");
+  publish(totals_.pcie_delayed, "fault.pcie.delayed_stores");
+  publish(totals_.pcie_truncated, "fault.pcie.truncated_stores");
+  publish(totals_.nvme_timeouts, "fault.nvme.timeouts");
+  publish(totals_.crashes, "fault.crashes");
 }
 
 void FaultInjector::RecordFault(std::string message) {
@@ -68,21 +55,21 @@ const FaultSpec* FaultInjector::Match(FaultKind kind) {
 
 bool FaultInjector::InjectFlashProgramFail() {
   if (Match(FaultKind::kFlashProgramFail) == nullptr) return false;
-  Count(m_flash_program_fails_, &totals_.flash_program_fails);
+  ++totals_.flash_program_fails;
   RecordFault("flash program fail injected");
   return true;
 }
 
 bool FaultInjector::InjectFlashEraseFail() {
   if (Match(FaultKind::kFlashEraseFail) == nullptr) return false;
-  Count(m_flash_erase_fails_, &totals_.flash_erase_fails);
+  ++totals_.flash_erase_fails;
   RecordFault("flash erase fail injected");
   return true;
 }
 
 bool FaultInjector::InjectFlashReadUncorrectable() {
   if (Match(FaultKind::kFlashReadUncorrectable) == nullptr) return false;
-  Count(m_flash_read_uncorrectable_, &totals_.flash_read_uncorrectable);
+  ++totals_.flash_read_uncorrectable;
   RecordFault("uncorrectable flash read injected");
   return true;
 }
@@ -90,7 +77,7 @@ bool FaultInjector::InjectFlashReadUncorrectable() {
 sim::SimTime FaultInjector::InjectFlashRetentionDwell() {
   const FaultSpec* spec = Match(FaultKind::kFlashRetention);
   if (spec == nullptr) return 0;
-  Count(m_flash_retention_boosts_, &totals_.flash_retention_boosts);
+  ++totals_.flash_retention_boosts;
   RecordFault("retention dwell boost injected (" +
               std::to_string(spec->delay) + " ns)");
   return spec->delay;
@@ -99,19 +86,19 @@ sim::SimTime FaultInjector::InjectFlashRetentionDwell() {
 uint64_t FaultInjector::InjectFlashDisturbReads() {
   const FaultSpec* spec = Match(FaultKind::kFlashDisturb);
   if (spec == nullptr) return 0;
-  Count(m_flash_disturb_boosts_, &totals_.flash_disturb_boosts);
+  ++totals_.flash_disturb_boosts;
   RecordFault("read-disturb boost injected");
   return static_cast<uint64_t>(spec->magnitude);
 }
 
 FaultInjector::NtbDecision FaultInjector::NtbForwardDecision() {
   if (Match(FaultKind::kNtbLinkDown) != nullptr) {
-    Count(m_ntb_dropped_, &totals_.ntb_dropped);
+    ++totals_.ntb_dropped;
     RecordFault("ntb write dropped (link down)");
     return {LinkAction::kDrop, 0};
   }
   if (const FaultSpec* spec = Match(FaultKind::kNtbLinkStall)) {
-    Count(m_ntb_stalled_, &totals_.ntb_stalled);
+    ++totals_.ntb_stalled;
     RecordFault("ntb write stalled " + std::to_string(spec->delay) + " ns");
     return {LinkAction::kStall, spec->delay};
   }
@@ -121,7 +108,7 @@ FaultInjector::NtbDecision FaultInjector::NtbForwardDecision() {
 sim::SimTime FaultInjector::InjectPcieStoreDelay() {
   const FaultSpec* spec = Match(FaultKind::kPcieStoreDelay);
   if (spec == nullptr) return 0;
-  Count(m_pcie_delayed_, &totals_.pcie_delayed);
+  ++totals_.pcie_delayed;
   RecordFault("pcie store delayed " + std::to_string(spec->delay) + " ns");
   return spec->delay;
 }
@@ -129,7 +116,7 @@ sim::SimTime FaultInjector::InjectPcieStoreDelay() {
 uint64_t FaultInjector::InjectPcieTruncation(uint64_t len) {
   if (len == 0) return 0;
   if (Match(FaultKind::kPcieStoreTruncate) == nullptr) return len;
-  Count(m_pcie_truncated_, &totals_.pcie_truncated);
+  ++totals_.pcie_truncated;
   RecordFault("pcie store truncated");
   // Drop the tail: at least one byte lands (a fully-dropped store is the
   // NTB link-down fault's job), at least one byte is lost.
@@ -140,7 +127,7 @@ uint64_t FaultInjector::InjectPcieTruncation(uint64_t len) {
 FaultInjector::NvmeDecision FaultInjector::InjectNvmeTimeout() {
   const FaultSpec* spec = Match(FaultKind::kNvmeTimeout);
   if (spec == nullptr) return {};
-  Count(m_nvme_timeouts_, &totals_.nvme_timeouts);
+  ++totals_.nvme_timeouts;
   RecordFault("nvme command timeout injected");
   return {true, spec->delay};
 }
@@ -162,7 +149,7 @@ bool FaultInjector::CrashPoint(std::string_view site) {
     if (now < clause.spec.at || now >= clause.spec.end()) continue;
     if (++clause.hits < clause.spec.after_hits) continue;
     crashed_ = true;
-    Count(m_crashes_, &totals_.crashes);
+    ++totals_.crashes;
     RecordFault("crash clause fired at site " + std::string(site) +
                 (clause.spec.graceful ? " (graceful)" : " (hard)"));
     if (crash_handler_) crash_handler_(clause.spec);

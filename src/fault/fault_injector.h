@@ -101,17 +101,17 @@ class FaultInjector {
 
   /// Injection totals, usable without a metrics registry.
   struct Totals {
-    uint64_t flash_program_fails = 0;
-    uint64_t flash_erase_fails = 0;
-    uint64_t flash_read_uncorrectable = 0;
-    uint64_t flash_retention_boosts = 0;
-    uint64_t flash_disturb_boosts = 0;
-    uint64_t ntb_dropped = 0;
-    uint64_t ntb_stalled = 0;
-    uint64_t pcie_delayed = 0;
-    uint64_t pcie_truncated = 0;
-    uint64_t nvme_timeouts = 0;
-    uint64_t crashes = 0;
+    obs::Tally flash_program_fails;
+    obs::Tally flash_erase_fails;
+    obs::Tally flash_read_uncorrectable;
+    obs::Tally flash_retention_boosts;
+    obs::Tally flash_disturb_boosts;
+    obs::Tally ntb_dropped;
+    obs::Tally ntb_stalled;
+    obs::Tally pcie_delayed;
+    obs::Tally pcie_truncated;
+    obs::Tally nvme_timeouts;
+    obs::Tally crashes;
   };
   const Totals& totals() const { return totals_; }
   const FaultPlan& plan() const { return plan_; }
@@ -129,8 +129,6 @@ class FaultInjector {
   /// First firing clause of `kind`, else nullptr.
   const FaultSpec* Match(FaultKind kind);
 
-  void Count(obs::Counter* counter, uint64_t* total);
-
   /// Flight-recorder append for one injected fault (no-op when detached).
   void RecordFault(std::string message);
 
@@ -142,18 +140,6 @@ class FaultInjector {
   bool crashed_ = false;
   Totals totals_;
   obs::FlightRecorder* flightrec_ = nullptr;
-
-  obs::Counter* m_flash_program_fails_ = nullptr;
-  obs::Counter* m_flash_erase_fails_ = nullptr;
-  obs::Counter* m_flash_read_uncorrectable_ = nullptr;
-  obs::Counter* m_flash_retention_boosts_ = nullptr;
-  obs::Counter* m_flash_disturb_boosts_ = nullptr;
-  obs::Counter* m_ntb_dropped_ = nullptr;
-  obs::Counter* m_ntb_stalled_ = nullptr;
-  obs::Counter* m_pcie_delayed_ = nullptr;
-  obs::Counter* m_pcie_truncated_ = nullptr;
-  obs::Counter* m_nvme_timeouts_ = nullptr;
-  obs::Counter* m_crashes_ = nullptr;
 };
 
 }  // namespace xssd::fault

@@ -37,21 +37,19 @@ Array::Array(sim::Simulator* sim, Geometry geometry, Timing timing,
 
 void Array::SetMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) {
-  m_reads_ = registry->GetCounter(prefix + "flash.reads");
-  m_programs_ = registry->GetCounter(prefix + "flash.programs");
-  m_erases_ = registry->GetCounter(prefix + "flash.erases");
-  m_program_failures_ =
-      registry->GetCounter(prefix + "flash.program_failures");
-  m_erase_failures_ = registry->GetCounter(prefix + "flash.erase_failures");
-  m_bad_block_rejects_ =
-      registry->GetCounter(prefix + "flash.bad_block_rejects");
-  m_corrected_bit_errors_ =
-      registry->GetCounter(prefix + "flash.corrected_bit_errors");
-  m_uncorrectable_reads_ =
-      registry->GetCounter(prefix + "flash.uncorrectable_reads");
-  m_read_retries_ = registry->GetCounter(prefix + "flash.read_retries");
-  m_retry_exhausted_ =
-      registry->GetCounter(prefix + "flash.retry_exhausted");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(stats_.reads, "flash.reads");
+  publish(stats_.programs, "flash.programs");
+  publish(stats_.erases, "flash.erases");
+  publish(stats_.program_failures, "flash.program_failures");
+  publish(stats_.erase_failures, "flash.erase_failures");
+  publish(stats_.bad_block_rejects, "flash.bad_block_rejects");
+  publish(stats_.corrected_bit_errors, "flash.corrected_bit_errors");
+  publish(stats_.uncorrectable_reads, "flash.uncorrectable_reads");
+  publish(stats_.read_retries, "flash.read_retries");
+  publish(stats_.retry_exhausted, "flash.retry_exhausted");
 }
 
 Array::Block& Array::BlockAt(const Address& addr) {
@@ -122,7 +120,6 @@ void Array::Program(const Address& addr, std::vector<uint8_t> data,
   Block& block = BlockAt(addr);
   if (block.bad) {
     ++stats_.bad_block_rejects;
-    if (m_bad_block_rejects_) m_bad_block_rejects_->Add();
     sim_->Schedule(timing_.command_overhead,
                    [done = std::move(done),
                     bus_released = std::move(bus_released)]() mutable {
@@ -157,10 +154,8 @@ void Array::Program(const Address& addr, std::vector<uint8_t> data,
   sim::SimTime prog_done = OccupyDie(die, bus_done, timing_.program_latency);
 
   ++stats_.programs;
-  if (m_programs_) m_programs_->Add();
   if (fail) {
     ++stats_.program_failures;
-    if (m_program_failures_) m_program_failures_->Add();
     block.bad = true;
     sim_->ScheduleAt(prog_done, [done = std::move(done)]() {
       done(Status::IoError("program operation failed"));
@@ -179,7 +174,6 @@ void Array::Read(const Address& addr, ReadCallback done) {
   XSSD_CHECK(Contains(geometry_, addr));
   Block& block = BlockAt(addr);
   ++stats_.reads;
-  if (m_reads_) m_reads_->Add();
   ++block.reads_since_erase;
 
   // Sample errors and walk the read-retry ladder up front: each level
@@ -202,7 +196,6 @@ void Array::Read(const Address& addr, ReadCallback done) {
     }
     if (retries > 0) {
       stats_.read_retries += retries;
-      if (m_read_retries_) m_read_retries_->Add(retries);
     }
   }
 
@@ -222,9 +215,7 @@ void Array::Read(const Address& addr, ReadCallback done) {
   Status status = Status::OK();
   if (errors > reliability_.ecc_correctable_bits) {
     ++stats_.uncorrectable_reads;
-    if (m_uncorrectable_reads_) m_uncorrectable_reads_->Add();
     ++stats_.retry_exhausted;
-    if (m_retry_exhausted_) m_retry_exhausted_->Add();
     // Corrupt the returned image deterministically.
     for (uint64_t i = 0; i < errors && i < 64; ++i) {
       uint64_t bit = rng_.Uniform(data.size() * 8);
@@ -233,7 +224,6 @@ void Array::Read(const Address& addr, ReadCallback done) {
     status = Status::Corruption("uncorrectable bit errors");
   } else {
     stats_.corrected_bit_errors += errors;
-    if (m_corrected_bit_errors_) m_corrected_bit_errors_->Add(errors);
   }
   sim_->ScheduleAt(bus_done, [status, data = std::move(data),
                               done = std::move(done)]() mutable {
@@ -246,7 +236,6 @@ void Array::Erase(const Address& addr, EraseCallback done) {
   Block& block = BlockAt(addr);
   if (block.bad) {
     ++stats_.bad_block_rejects;
-    if (m_bad_block_rejects_) m_bad_block_rejects_->Add();
     sim_->Schedule(timing_.command_overhead, [done = std::move(done)]() {
       done(Status::IoError("erase of bad block"));
     });
@@ -257,11 +246,9 @@ void Array::Erase(const Address& addr, EraseCallback done) {
       OccupyDie(die, sim_->Now() + timing_.command_overhead,
                 timing_.erase_latency);
   ++stats_.erases;
-  if (m_erases_) m_erases_->Add();
   if (injector_ != nullptr && injector_->InjectFlashEraseFail()) {
     // An erase failure grows a bad block, same as a program failure.
     ++stats_.erase_failures;
-    if (m_erase_failures_) m_erase_failures_->Add();
     block.bad = true;
     sim_->ScheduleAt(erase_done, [done = std::move(done)]() {
       done(Status::IoError("erase operation failed"));

@@ -22,16 +22,16 @@ namespace xssd::flash {
 
 /// Per-array operation statistics.
 struct ArrayStats {
-  uint64_t reads = 0;
-  uint64_t programs = 0;
-  uint64_t erases = 0;
-  uint64_t program_failures = 0;
-  uint64_t erase_failures = 0;
-  uint64_t bad_block_rejects = 0;  ///< ops refused because the block is bad
-  uint64_t corrected_bit_errors = 0;
-  uint64_t uncorrectable_reads = 0;
-  uint64_t read_retries = 0;     ///< extra sense passes spent on the ladder
-  uint64_t retry_exhausted = 0;  ///< reads still uncorrectable after it
+  obs::Tally reads;
+  obs::Tally programs;
+  obs::Tally erases;
+  obs::Tally program_failures;
+  obs::Tally erase_failures;
+  obs::Tally bad_block_rejects;  ///< ops refused because the block is bad
+  obs::Tally corrected_bit_errors;
+  obs::Tally uncorrectable_reads;
+  obs::Tally read_retries;     ///< extra sense passes spent on the ladder
+  obs::Tally retry_exhausted;  ///< reads still uncorrectable after it
 };
 
 /// \brief The NAND flash array: channels × dies with real page contents and
@@ -188,18 +188,6 @@ class Array {
   std::vector<Die> dies_;
   std::vector<std::unique_ptr<sim::BandwidthServer>> channel_bus_;
   ArrayStats stats_;
-
-  // Observability (null until SetMetrics).
-  obs::Counter* m_reads_ = nullptr;
-  obs::Counter* m_programs_ = nullptr;
-  obs::Counter* m_erases_ = nullptr;
-  obs::Counter* m_program_failures_ = nullptr;
-  obs::Counter* m_erase_failures_ = nullptr;
-  obs::Counter* m_bad_block_rejects_ = nullptr;
-  obs::Counter* m_corrected_bit_errors_ = nullptr;
-  obs::Counter* m_uncorrectable_reads_ = nullptr;
-  obs::Counter* m_read_retries_ = nullptr;
-  obs::Counter* m_retry_exhausted_ = nullptr;
 };
 
 }  // namespace xssd::flash

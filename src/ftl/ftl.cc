@@ -45,23 +45,21 @@ bool Ftl::Halted() const { return injector_ != nullptr && injector_->crashed(); 
 
 void Ftl::SetMetrics(obs::MetricsRegistry* registry,
                      const std::string& prefix) {
-  m_host_writes_ = registry->GetCounter(prefix + "ftl.host_writes");
-  m_flash_programs_ = registry->GetCounter(prefix + "ftl.flash_programs");
-  m_gc_pages_moved_ = registry->GetCounter(prefix + "ftl.gc.pages_moved");
-  m_gc_erases_ = registry->GetCounter(prefix + "ftl.gc.erases");
-  m_buffer_hits_ = registry->GetCounter(prefix + "ftl.buffer_hits");
-  m_bad_block_retires_ =
-      registry->GetCounter(prefix + "ftl.bad_block_retires");
-  m_refresh_pages_moved_ =
-      registry->GetCounter(prefix + "reliability.refresh_pages_moved");
-  m_refresh_erases_ =
-      registry->GetCounter(prefix + "reliability.refresh_erases");
-  m_uncorrectable_reads_ =
-      registry->GetCounter(prefix + "reliability.uncorrectable_reads");
-  m_escalations_ = registry->GetCounter(prefix + "reliability.escalations");
-  m_reliability_retires_ =
-      registry->GetCounter(prefix + "reliability.retired_blocks");
-  m_pages_lost_ = registry->GetCounter(prefix + "reliability.pages_lost");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(stats_.host_writes, "ftl.host_writes");
+  publish(stats_.flash_programs, "ftl.flash_programs");
+  publish(stats_.gc_relocations, "ftl.gc.pages_moved");
+  publish(stats_.gc_erases, "ftl.gc.erases");
+  publish(stats_.buffer_hits, "ftl.buffer_hits");
+  publish(stats_.bad_block_retires, "ftl.bad_block_retires");
+  publish(stats_.refresh_relocations, "reliability.refresh_pages_moved");
+  publish(stats_.refresh_erases, "reliability.refresh_erases");
+  publish(stats_.uncorrectable_reads, "reliability.uncorrectable_reads");
+  publish(stats_.escalations, "reliability.escalations");
+  publish(stats_.reliability_retires, "reliability.retired_blocks");
+  publish(stats_.pages_lost, "reliability.pages_lost");
   m_dirty_pages_ = registry->GetGauge(prefix + "ftl.dirty_pages");
   m_free_blocks_ = registry->GetGauge(prefix + "ftl.free_blocks");
   m_write_amp_ = registry->GetGauge(prefix + "ftl.write_amp");
@@ -131,7 +129,6 @@ void Ftl::WriteBuffered(uint64_t lpn, std::vector<uint8_t> data,
   XSSD_CHECK(lpn < map_.lpn_count());
   data.resize(page_bytes(), 0);
   ++stats_.host_writes;
-  if (m_host_writes_) m_host_writes_->Add();
   // The logical version is assigned at accept so that writes queued behind
   // back-pressure keep their arrival order relative to later writes.
   uint64_t seq = next_seq_++;
@@ -190,7 +187,6 @@ void Ftl::WriteDirect(IoClass io_class, uint64_t lpn,
   XSSD_CHECK(lpn < map_.lpn_count());
   data.resize(page_bytes(), 0);
   ++stats_.host_writes;
-  if (m_host_writes_) m_host_writes_->Add();
   uint64_t seq = next_seq_++;
   // A direct write supersedes any buffered copy.
   auto it = buffer_.find(lpn);
@@ -257,7 +253,6 @@ void Ftl::ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
           wear_.Retire(block);
           UpdateWearGauges();
           ++stats_.bad_block_retires;
-          if (m_bad_block_retires_) m_bad_block_retires_->Add();
           if (attempts + 1 >= config_.max_program_retries) {
             // A fault window is failing every program; stop burning blocks
             // and let the caller apply its own retry/backoff policy.
@@ -273,7 +268,6 @@ void Ftl::ProgramPage(IoClass io_class, BlockAllocator::Stream stream,
           return;
         }
         ++stats_.flash_programs;
-        if (m_flash_programs_) m_flash_programs_->Add();
         if (src_ppn == kUnmapped) {
           // Host/destage write: applies unless a copy outranking it under
           // the (seq, stamp) recovery order completed first (out-of-order
@@ -296,7 +290,6 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
   auto it = buffer_.find(lpn);
   if (it != buffer_.end()) {
     ++stats_.buffer_hits;
-    if (m_buffer_hits_) m_buffer_hits_->Add();
     TouchLru(lpn);
     std::vector<uint8_t> copy = it->second.data;
     sim::SimTime at = buffer_port_.Acquire(page_bytes());
@@ -327,7 +320,6 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
           // retire the block — while the Corruption propagates so the
           // caller can re-fetch the lost range from a replica.
           ++stats_.uncorrectable_reads;
-          if (m_uncorrectable_reads_) m_uncorrectable_reads_->Add();
           uint64_t block = ppn / array_->geometry().pages_per_block;
           if (flightrec_ != nullptr) {
             flightrec_->Record(sim_->Now(), "reliability",
@@ -337,7 +329,6 @@ void Ftl::ReadPage(IoClass io_class, uint64_t lpn, ReadCallback done) {
           }
           if (EscalateBlock(block, [](Status) {})) {
             ++stats_.escalations;
-            if (m_escalations_) m_escalations_->Add();
           }
           if (flightrec_ != nullptr) {
             flightrec_->AutoDump("Corruption escalation on host read");
@@ -552,7 +543,8 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
   // loud Corruption into silent zeros. It degrades to a retire instead.
   auto lost = std::make_shared<uint64_t>(0);
   auto done_ptr = std::make_shared<WriteCallback>(std::move(done));
-  auto step = std::make_shared<std::function<void(uint32_t)>>();
+  using Step = std::function<void(uint32_t)>;
+  auto step = std::make_shared<Step>();
   auto self = this;
   auto dispose = [self, victim, geom, mode, lost, done_ptr]() {
     if (mode == CollectMode::kGc) {
@@ -576,9 +568,7 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
                 " lpns lost");
       }
       ++self->stats_.bad_block_retires;
-      if (self->m_bad_block_retires_) self->m_bad_block_retires_->Add();
       ++self->stats_.reliability_retires;
-      if (self->m_reliability_retires_) self->m_reliability_retires_->Add();
       self->UpdateGauges();
       self->UpdateWearGauges();
       (*done_ptr)(Status::OK());
@@ -594,26 +584,26 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
             self->allocator_.Release(victim);
             if (mode == CollectMode::kGc) {
               ++self->stats_.gc_erases;
-              if (self->m_gc_erases_) self->m_gc_erases_->Add();
             } else {
               ++self->stats_.refresh_erases;
-              if (self->m_refresh_erases_) self->m_refresh_erases_->Add();
             }
           } else {
             self->allocator_.MarkBad(victim);
             self->wear_.Retire(victim);
             ++self->stats_.bad_block_retires;
-            if (self->m_bad_block_retires_) {
-              self->m_bad_block_retires_->Add();
-            }
           }
           self->UpdateGauges();
           self->UpdateWearGauges();
           (*done_ptr)(status);
         });
   };
-  *step = [self, victim, geom, mode, for_gc, lost, step, done_ptr,
+  // The step holds itself weakly: the callback of the read or program in
+  // flight owns it, so it is freed on whichever path ends the collect
+  // (done, power cut, crash point) without clearing a running closure.
+  *step = [self, victim, geom, mode, for_gc, lost, done_ptr,
+           weak_step = std::weak_ptr<Step>(step),
            dispose = std::move(dispose)](uint32_t page) {
+    std::shared_ptr<Step> step = weak_step.lock();  // the caller holds one
     if (self->Halted()) {
       // Power was cut at some crash site; freeze the mid-collect state.
       // The victim stays unsealed and un-erased — exactly what recovery
@@ -647,7 +637,6 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
             } else {
               ++*lost;
               ++self->stats_.pages_lost;
-              if (self->m_pages_lost_) self->m_pages_lost_->Add();
             }
             (*step)(page + 1);
             return;
@@ -666,12 +655,8 @@ void Ftl::CollectBlock(uint64_t victim, CollectMode mode, WriteCallback done) {
           }
           if (mode == Ftl::CollectMode::kGc) {
             ++self->stats_.gc_relocations;
-            if (self->m_gc_pages_moved_) self->m_gc_pages_moved_->Add();
           } else {
             ++self->stats_.refresh_relocations;
-            if (self->m_refresh_pages_moved_) {
-              self->m_refresh_pages_moved_->Add();
-            }
           }
           // The copy keeps the victim page's logical version; only the
           // physical stamp (inside ProgramPage) is fresh.

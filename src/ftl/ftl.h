@@ -60,20 +60,20 @@ struct FtlConfig {
 
 /// Cumulative FTL statistics.
 struct FtlStats {
-  uint64_t host_writes = 0;       ///< pages written by callers
-  uint64_t flash_programs = 0;    ///< pages programmed to NAND
-  uint64_t gc_relocations = 0;    ///< valid pages moved by GC
-  uint64_t gc_erases = 0;
-  uint64_t buffer_hits = 0;       ///< reads served from the data buffer
-  uint64_t bad_block_retires = 0;
+  obs::Tally host_writes;     ///< pages written by callers
+  obs::Tally flash_programs;  ///< pages programmed to NAND
+  obs::Tally gc_relocations;  ///< valid pages moved by GC
+  obs::Tally gc_erases;
+  obs::Tally buffer_hits;  ///< reads served from the data buffer
+  obs::Tally bad_block_retires;
 
   // Media-reliability escalation chain (see RefreshBlock/EscalateBlock).
-  uint64_t refresh_relocations = 0;  ///< valid pages moved by scrub refresh
-  uint64_t refresh_erases = 0;       ///< blocks refreshed (erase + recycle)
-  uint64_t uncorrectable_reads = 0;  ///< host reads that surfaced Corruption
-  uint64_t escalations = 0;          ///< escalation chains started
-  uint64_t reliability_retires = 0;  ///< blocks retired without erase
-  uint64_t pages_lost = 0;           ///< pages unreadable during a collect
+  obs::Tally refresh_relocations;  ///< valid pages moved by scrub refresh
+  obs::Tally refresh_erases;       ///< blocks refreshed (erase + recycle)
+  obs::Tally uncorrectable_reads;  ///< host reads that surfaced Corruption
+  obs::Tally escalations;          ///< escalation chains started
+  obs::Tally reliability_retires;  ///< blocks retired without erase
+  obs::Tally pages_lost;           ///< pages unreadable during a collect
 
   /// Write amplification factor observed so far. An idle device has done
   /// no amplification at all — by convention that reads 0.0, not 1.0, so a
@@ -318,18 +318,6 @@ class Ftl {
   std::string fr_tag_;
 
   // Observability (null until SetMetrics).
-  obs::Counter* m_host_writes_ = nullptr;
-  obs::Counter* m_flash_programs_ = nullptr;
-  obs::Counter* m_gc_pages_moved_ = nullptr;
-  obs::Counter* m_gc_erases_ = nullptr;
-  obs::Counter* m_buffer_hits_ = nullptr;
-  obs::Counter* m_bad_block_retires_ = nullptr;
-  obs::Counter* m_refresh_pages_moved_ = nullptr;
-  obs::Counter* m_refresh_erases_ = nullptr;
-  obs::Counter* m_uncorrectable_reads_ = nullptr;
-  obs::Counter* m_escalations_ = nullptr;
-  obs::Counter* m_reliability_retires_ = nullptr;
-  obs::Counter* m_pages_lost_ = nullptr;
   obs::Gauge* m_dirty_pages_ = nullptr;
   obs::Gauge* m_free_blocks_ = nullptr;
   obs::Gauge* m_write_amp_ = nullptr;

@@ -24,16 +24,17 @@ Scheduler::Scheduler(sim::Simulator* sim, flash::Array* array,
 
 void Scheduler::SetMetrics(obs::MetricsRegistry* registry,
                            const std::string& prefix) {
-  m_issued_[0] = registry->GetCounter(prefix + "ftl.sched.conv.issued");
-  m_issued_[1] = registry->GetCounter(prefix + "ftl.sched.destage.issued");
-  m_completed_bytes_[0] =
-      registry->GetCounter(prefix + "ftl.sched.conv.completed_bytes");
-  m_completed_bytes_[1] =
-      registry->GetCounter(prefix + "ftl.sched.destage.completed_bytes");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(issued_[0], "ftl.sched.conv.issued");
+  publish(issued_[1], "ftl.sched.destage.issued");
+  publish(completed_bytes_[0], "ftl.sched.conv.completed_bytes");
+  publish(completed_bytes_[1], "ftl.sched.destage.completed_bytes");
   m_queued_[0] = registry->GetGauge(prefix + "ftl.sched.conv.queued");
   m_queued_[1] = registry->GetGauge(prefix + "ftl.sched.destage.queued");
-  m_wait_ns_[0] = registry->GetCounter(prefix + "ftl.sched.conv.wait_ns");
-  m_wait_ns_[1] = registry->GetCounter(prefix + "ftl.sched.destage.wait_ns");
+  publish(wait_ns_[0], "ftl.sched.conv.wait_ns");
+  publish(wait_ns_[1], "ftl.sched.destage.wait_ns");
   m_inflight_ = registry->GetGauge(prefix + "ftl.sched.inflight");
 }
 
@@ -101,8 +102,6 @@ void Scheduler::Issue(uint32_t channel, int io_class, size_t index) {
   if (m_queued_[io_class]) {
     m_queued_[io_class]->Set(static_cast<double>(queued_[io_class]));
   }
-  if (m_wait_ns_[io_class]) m_wait_ns_[io_class]->Add(waited);
-  if (m_issued_[io_class]) m_issued_[io_class]->Add();
   if (m_inflight_) m_inflight_->Set(static_cast<double>(inflight_));
   if (op.uses_bus) state.bus_busy = true;
 
@@ -116,9 +115,6 @@ void Scheduler::Issue(uint32_t channel, int io_class, size_t index) {
     --inflight_;
     completed_bytes_[io_class] += bytes;
     if (m_inflight_) m_inflight_->Set(static_cast<double>(inflight_));
-    if (m_completed_bytes_[io_class]) {
-      m_completed_bytes_[io_class]->Add(bytes);
-    }
     Dispatch(channel);
   };
   op.run(std::move(bus_released), std::move(completed));

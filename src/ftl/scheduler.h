@@ -89,9 +89,11 @@ class Scheduler {
     return issued_[static_cast<int>(io_class)];
   }
   void ResetStats() {
-    completed_bytes_[0] = completed_bytes_[1] = 0;
-    wait_ns_[0] = wait_ns_[1] = 0;
-    issued_[0] = issued_[1] = 0;
+    for (int k = 0; k < 2; ++k) {
+      completed_bytes_[k].Reset();
+      wait_ns_[k].Reset();
+      issued_[k].Reset();
+    }
   }
 
   /// Register this scheduler's metrics under `prefix` + "ftl.sched.".
@@ -134,14 +136,11 @@ class Scheduler {
   uint64_t next_seq_ = 0;
   uint64_t inflight_ = 0;
   uint64_t queued_[2] = {0, 0};
-  uint64_t completed_bytes_[2] = {0, 0};
-  uint64_t wait_ns_[2] = {0, 0};
-  uint64_t issued_[2] = {0, 0};
+  obs::Tally completed_bytes_[2];
+  obs::Tally wait_ns_[2];
+  obs::Tally issued_[2];
 
   // Observability (null until SetMetrics; indexed by IoClass).
-  obs::Counter* m_issued_[2] = {nullptr, nullptr};
-  obs::Counter* m_completed_bytes_[2] = {nullptr, nullptr};
-  obs::Counter* m_wait_ns_[2] = {nullptr, nullptr};
   obs::Gauge* m_queued_[2] = {nullptr, nullptr};
   obs::Gauge* m_inflight_ = nullptr;
 };

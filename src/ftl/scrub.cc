@@ -13,14 +13,16 @@ PatrolScrubber::PatrolScrubber(sim::Simulator* sim, Ftl* ftl,
 
 void PatrolScrubber::SetMetrics(obs::MetricsRegistry* registry,
                                 const std::string& prefix) {
-  m_ticks_ = registry->GetCounter(prefix + "scrub.ticks");
-  m_deferred_busy_ = registry->GetCounter(prefix + "scrub.deferred_busy");
-  m_patrol_reads_ = registry->GetCounter(prefix + "scrub.patrol_reads");
-  m_patrol_uncorrectable_ =
-      registry->GetCounter(prefix + "scrub.patrol_uncorrectable");
-  m_refreshes_ = registry->GetCounter(prefix + "scrub.refreshes");
-  m_escalations_ = registry->GetCounter(prefix + "scrub.escalations");
-  m_retired_blocks_ = registry->GetCounter(prefix + "scrub.retired_blocks");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(stats_.ticks, "scrub.ticks");
+  publish(stats_.deferred_busy, "scrub.deferred_busy");
+  publish(stats_.patrol_reads, "scrub.patrol_reads");
+  publish(stats_.patrol_uncorrectable, "scrub.patrol_uncorrectable");
+  publish(stats_.refreshes, "scrub.refreshes");
+  publish(stats_.escalations, "scrub.escalations");
+  publish(stats_.retired_blocks, "scrub.retired_blocks");
   m_refresh_pressure_ = registry->GetGauge(prefix + "scrub.refresh_pressure");
 }
 
@@ -69,11 +71,9 @@ void PatrolScrubber::Tick() {
                   sched.queued(IoClass::kDestage);
   if (load >= config_.busy_threshold) {
     ++stats_.deferred_busy;
-    if (m_deferred_busy_) m_deferred_busy_->Add();
     return;
   }
   ++stats_.ticks;
-  if (m_ticks_) m_ticks_->Add();
 
   double ber = 0.0;
   uint64_t block = PickRiskiest(&ber);
@@ -98,12 +98,10 @@ void PatrolScrubber::Tick() {
           // inside the FTL; surface that in the scrub stats.
           if (ftl_->stats().reliability_retires > retires_before) {
             ++stats_.retired_blocks;
-            if (m_retired_blocks_) m_retired_blocks_->Add();
           }
         })) {
       budget_ -= static_cast<double>(valid);
       ++stats_.refreshes;
-      if (m_refreshes_) m_refreshes_->Add();
     }
     return;
   }
@@ -121,23 +119,19 @@ void PatrolScrubber::PatrolBlock(uint64_t block) {
     if (ftl_->page_map().ReverseLookup(ppn) == kUnmapped) continue;
     budget_ -= 1.0;
     ++stats_.patrol_reads;
-    if (m_patrol_reads_) m_patrol_reads_->Add();
     flash::Address addr = flash::AddressOfPage(geom, ppn);
     ftl_->scheduler().Read(
         IoClass::kConventional, addr,
         [this, block, escalated](Status status, std::vector<uint8_t>) {
           if (!status.IsCorruption()) return;
           ++stats_.patrol_uncorrectable;
-          if (m_patrol_uncorrectable_) m_patrol_uncorrectable_->Add();
           if (*escalated) return;
           *escalated = true;
           if (ftl_->EscalateBlock(block, [this](Status status) {
                 if (!status.ok()) return;
                 ++stats_.retired_blocks;
-                if (m_retired_blocks_) m_retired_blocks_->Add();
               })) {
             ++stats_.escalations;
-            if (m_escalations_) m_escalations_->Add();
           }
         });
   }

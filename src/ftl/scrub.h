@@ -35,13 +35,13 @@ struct ScrubConfig {
 
 /// Patrol-scrub statistics.
 struct ScrubStats {
-  uint64_t ticks = 0;            ///< patrol ticks that ran (not deferred)
-  uint64_t deferred_busy = 0;    ///< ticks skipped for foreground traffic
-  uint64_t patrol_reads = 0;     ///< pages patrol-read
-  uint64_t patrol_uncorrectable = 0;  ///< patrol reads that found decay
-  uint64_t refreshes = 0;        ///< proactive block refreshes started
-  uint64_t escalations = 0;      ///< patrol-triggered retire chains
-  uint64_t retired_blocks = 0;   ///< blocks the scrubber retired
+  obs::Tally ticks;                 ///< patrol ticks that ran (not deferred)
+  obs::Tally deferred_busy;         ///< ticks skipped for foreground traffic
+  obs::Tally patrol_reads;          ///< pages patrol-read
+  obs::Tally patrol_uncorrectable;  ///< patrol reads that found decay
+  obs::Tally refreshes;             ///< proactive block refreshes started
+  obs::Tally escalations;           ///< patrol-triggered retire chains
+  obs::Tally retired_blocks;        ///< blocks the scrubber retired
 };
 
 /// \brief Background patrol scrubber: the proactive half of the media-
@@ -98,13 +98,6 @@ class PatrolScrubber {
   ScrubStats stats_;
 
   // Observability (null until SetMetrics).
-  obs::Counter* m_ticks_ = nullptr;
-  obs::Counter* m_deferred_busy_ = nullptr;
-  obs::Counter* m_patrol_reads_ = nullptr;
-  obs::Counter* m_patrol_uncorrectable_ = nullptr;
-  obs::Counter* m_refreshes_ = nullptr;
-  obs::Counter* m_escalations_ = nullptr;
-  obs::Counter* m_retired_blocks_ = nullptr;
   /// Riskiest block's expected raw errors as a fraction of the ECC
   /// budget; crossing refresh_margin triggers a refresh. Updated each
   /// non-deferred tick — the watchdog's view of media health.

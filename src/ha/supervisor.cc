@@ -29,58 +29,6 @@ Heartbeat DecodeHeartbeat(const uint8_t in[kHeartbeatBytes]) {
   return hb;
 }
 
-nvme::Command SetTermCmd(uint64_t term, size_t writer_slot) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetTerm);
-  cmd.cdw10 = static_cast<uint32_t>(term);
-  cmd.cdw11 = static_cast<uint32_t>(writer_slot);
-  return cmd;
-}
-
-nvme::Command SetRoleCmd(core::Role role, uint64_t mailbox_addr) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetRole);
-  cmd.cdw10 = static_cast<uint32_t>(role);
-  cmd.cdw11 = static_cast<uint32_t>(mailbox_addr);
-  cmd.cdw12 = static_cast<uint32_t>(mailbox_addr >> 32);
-  return cmd;
-}
-
-nvme::Command ClearPeersCmd() {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdClearPeers);
-  return cmd;
-}
-
-nvme::Command RemovePeerCmd(size_t slot) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdRemovePeer);
-  cmd.cdw10 = static_cast<uint32_t>(slot);
-  return cmd;
-}
-
-nvme::Command SetReplicationCmd(core::ReplicationProtocol protocol) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetReplication);
-  cmd.cdw10 = static_cast<uint32_t>(protocol);
-  return cmd;
-}
-
-nvme::Command SetUpdatePeriodCmd(sim::SimTime period) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdSetUpdatePeriod);
-  cmd.cdw10 = static_cast<uint32_t>(period);
-  return cmd;
-}
-
-nvme::Command TruncateCmd(uint64_t offset) {
-  nvme::Command cmd;
-  cmd.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdTruncate);
-  cmd.cdw10 = static_cast<uint32_t>(offset);
-  cmd.cdw11 = static_cast<uint32_t>(offset >> 32);
-  return cmd;
-}
-
 }  // namespace
 
 ReplicaSupervisor::ReplicaSupervisor(sim::Simulator* sim,
@@ -180,26 +128,22 @@ Status ReplicaSupervisor::Setup() {
   // Form the group at term 1, member 0 leading. Followers first, so the
   // leader starts mirroring only into fenced-in members.
   for (size_t j = 1; j < n; ++j) {
-    XSSD_RETURN_IF_ERROR(AdminSyncBlocking(j, SetTermCmd(1, 0)));
+    XSSD_RETURN_IF_ERROR(AdminSyncBlocking(j, nvme::SetTermCmd(1, 0)));
     uint64_t mailbox = DataWindow(0) + core::kRegShadowBase + 8ull * j;
-    XSSD_RETURN_IF_ERROR(
-        AdminSyncBlocking(j, SetRoleCmd(core::Role::kSecondary, mailbox)));
-    XSSD_RETURN_IF_ERROR(
-        AdminSyncBlocking(j, SetUpdatePeriodCmd(config_.update_period)));
+    XSSD_RETURN_IF_ERROR(AdminSyncBlocking(
+        j, nvme::SetRoleCmd(core::Role::kSecondary, mailbox)));
+    XSSD_RETURN_IF_ERROR(AdminSyncBlocking(
+        j, nvme::SetUpdatePeriodCmd(config_.update_period)));
   }
-  XSSD_RETURN_IF_ERROR(AdminSyncBlocking(0, SetTermCmd(1, 0)));
+  XSSD_RETURN_IF_ERROR(AdminSyncBlocking(0, nvme::SetTermCmd(1, 0)));
   for (size_t j = 1; j < n; ++j) {
-    nvme::Command add;
-    add.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
-    add.cdw10 = static_cast<uint32_t>(j);
-    add.cdw11 = static_cast<uint32_t>(DataWindow(j));
-    add.cdw12 = static_cast<uint32_t>(DataWindow(j) >> 32);
-    XSSD_RETURN_IF_ERROR(AdminSyncBlocking(0, add));
+    XSSD_RETURN_IF_ERROR(
+        AdminSyncBlocking(0, nvme::AddPeerCmd(j, DataWindow(j))));
   }
   XSSD_RETURN_IF_ERROR(
-      AdminSyncBlocking(0, SetReplicationCmd(config_.protocol)));
+      AdminSyncBlocking(0, nvme::SetReplicationCmd(config_.protocol)));
   XSSD_RETURN_IF_ERROR(
-      AdminSyncBlocking(0, SetRoleCmd(core::Role::kPrimary, 0)));
+      AdminSyncBlocking(0, nvme::SetRoleCmd(core::Role::kPrimary, 0)));
 
   for (size_t i = 0; i < n; ++i) {
     agents_[i] = Agent{};
@@ -355,18 +299,11 @@ void ReplicaSupervisor::Promote(size_t i, uint64_t new_term) {
                            std::to_string(live.size()) + " live peers)");
   }
   std::vector<nvme::Command> cmds;
-  cmds.push_back(SetTermCmd(new_term, i));
-  cmds.push_back(ClearPeersCmd());
-  for (size_t j : live) {
-    nvme::Command add;
-    add.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
-    add.cdw10 = static_cast<uint32_t>(j);
-    add.cdw11 = static_cast<uint32_t>(DataWindow(j));
-    add.cdw12 = static_cast<uint32_t>(DataWindow(j) >> 32);
-    cmds.push_back(add);
-  }
-  cmds.push_back(SetReplicationCmd(config_.protocol));
-  cmds.push_back(SetRoleCmd(core::Role::kPrimary, 0));
+  cmds.push_back(nvme::SetTermCmd(new_term, i));
+  cmds.push_back(nvme::ClearPeersCmd());
+  for (size_t j : live) cmds.push_back(nvme::AddPeerCmd(j, DataWindow(j)));
+  cmds.push_back(nvme::SetReplicationCmd(config_.protocol));
+  cmds.push_back(nvme::SetRoleCmd(core::Role::kPrimary, 0));
   RunAdminChain(i, std::move(cmds), 0,
                 [this, i, new_term, base, live](Status status) {
                   Agent& agent = agents_[i];
@@ -413,12 +350,12 @@ void ReplicaSupervisor::Adopt(size_t i, size_t leader, const Heartbeat& hb) {
             " (join base " + std::to_string(join) + ")");
   }
   std::vector<nvme::Command> cmds;
-  cmds.push_back(SetTermCmd(new_term, leader));
-  cmds.push_back(TruncateCmd(join));
-  cmds.push_back(ClearPeersCmd());
+  cmds.push_back(nvme::SetTermCmd(new_term, leader));
+  cmds.push_back(nvme::TruncateCmd(join));
+  cmds.push_back(nvme::ClearPeersCmd());
   uint64_t mailbox = DataWindow(leader) + core::kRegShadowBase + 8ull * i;
-  cmds.push_back(SetRoleCmd(core::Role::kSecondary, mailbox));
-  cmds.push_back(SetUpdatePeriodCmd(config_.update_period));
+  cmds.push_back(nvme::SetRoleCmd(core::Role::kSecondary, mailbox));
+  cmds.push_back(nvme::SetUpdatePeriodCmd(config_.update_period));
   RunAdminChain(i, std::move(cmds), 0,
                 [this, i, leader, new_term, was_leader](Status status) {
                   Agent& agent = agents_[i];
@@ -453,13 +390,14 @@ void ReplicaSupervisor::LeaderDuties(size_t i) {
                                " removing suspected member " +
                                std::to_string(j));
       }
-      RunAdminChain(i, {RemovePeerCmd(j)}, 0, [this, i, j](Status status) {
-        agents_[i].busy = false;
-        if (status.ok()) {
-          agents_[i].in_group[j] = false;
-          ++removals_;
-        }
-      });
+      RunAdminChain(i, {nvme::RemovePeerCmd(j)}, 0,
+                    [this, i, j](Status status) {
+                      agents_[i].busy = false;
+                      if (status.ok()) {
+                        agents_[i].in_group[j] = false;
+                        ++removals_;
+                      }
+                    });
       return;  // one membership change per tick
     }
     // Re-admit a member once its heartbeat shows it adopted this term
@@ -475,18 +413,14 @@ void ReplicaSupervisor::LeaderDuties(size_t i) {
                            "leader " + std::to_string(i) +
                                " re-admitting member " + std::to_string(j));
       }
-      nvme::Command add;
-      add.opcode = static_cast<uint8_t>(nvme::AdminOpcode::kXssdAddPeer);
-      add.cdw10 = static_cast<uint32_t>(j);
-      add.cdw11 = static_cast<uint32_t>(DataWindow(j));
-      add.cdw12 = static_cast<uint32_t>(DataWindow(j) >> 32);
-      RunAdminChain(i, {add}, 0, [this, i, j](Status status) {
-        agents_[i].busy = false;
-        if (status.ok()) {
-          agents_[i].in_group[j] = true;
-          ++joins_;
-        }
-      });
+      RunAdminChain(i, {nvme::AddPeerCmd(j, DataWindow(j))}, 0,
+                    [this, i, j](Status status) {
+                      agents_[i].busy = false;
+                      if (status.ok()) {
+                        agents_[i].in_group[j] = true;
+                        ++joins_;
+                      }
+                    });
       return;
     }
   }

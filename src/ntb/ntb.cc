@@ -22,12 +22,15 @@ NtbAdapter::NtbAdapter(sim::Simulator* sim, pcie::PcieFabric* local,
 
 void NtbAdapter::SetMetrics(obs::MetricsRegistry* registry,
                             const std::string& prefix) {
-  m_wire_bytes_ = registry->GetCounter(prefix + "ntb.wire_bytes");
-  m_payload_bytes_ = registry->GetCounter(prefix + "ntb.payload_bytes");
-  m_packets_ = registry->GetCounter(prefix + "ntb.packets");
-  m_forwards_ = registry->GetCounter(prefix + "ntb.forwards");
-  m_dropped_writes_ = registry->GetCounter(prefix + "ntb.dropped_writes");
-  m_dropped_bytes_ = registry->GetCounter(prefix + "ntb.dropped_bytes");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(forwarded_wire_bytes_, "ntb.wire_bytes");
+  publish(forwarded_payload_bytes_, "ntb.payload_bytes");
+  publish(forwarded_packets_, "ntb.packets");
+  publish(forwards_, "ntb.forwards");
+  publish(dropped_writes_, "ntb.dropped_writes");
+  publish(dropped_payload_bytes_, "ntb.dropped_bytes");
   m_link_busy_us_ = registry->GetGauge(prefix + "ntb.link_busy_us");
 }
 
@@ -117,10 +120,6 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
       // retransmit job.
       ++dropped_writes_;
       dropped_payload_bytes_ += len;
-      if (m_dropped_writes_) {
-        m_dropped_writes_->Add();
-        m_dropped_bytes_->Add(len);
-      }
       return;
     }
     if (decision.action == fault::FaultInjector::LinkAction::kStall) {
@@ -135,12 +134,7 @@ void NtbAdapter::OnMmioWrite(uint64_t offset, const uint8_t* data,
   forwarded_wire_bytes_ += wire;
   forwarded_payload_bytes_ += len;
   forwarded_packets_ += packets;
-  if (m_wire_bytes_) {
-    m_wire_bytes_->Add(wire);
-    m_payload_bytes_->Add(len);
-    m_packets_->Add(packets);
-    m_forwards_->Add();
-  }
+  ++forwards_;
 
   std::vector<uint8_t> copy(data, data + len);
   sim::SimTime cable_done = link_.Acquire(wire);

@@ -83,11 +83,11 @@ class NtbAdapter : public pcie::MmioDevice {
   uint64_t dropped_writes() const { return dropped_writes_; }
   uint64_t dropped_payload_bytes() const { return dropped_payload_bytes_; }
   void ResetStats() {
-    forwarded_wire_bytes_ = 0;
-    forwarded_payload_bytes_ = 0;
-    forwarded_packets_ = 0;
-    dropped_writes_ = 0;
-    dropped_payload_bytes_ = 0;
+    forwarded_wire_bytes_.Reset();
+    forwarded_payload_bytes_.Reset();
+    forwarded_packets_.Reset();
+    dropped_writes_.Reset();
+    dropped_payload_bytes_.Reset();
   }
 
   const NtbConfig& config() const { return config_; }
@@ -148,19 +148,14 @@ class NtbAdapter : public pcie::MmioDevice {
   obs::SpanRecorder* spans_ = nullptr;
   uint16_t span_node_ = 0;
 
-  uint64_t forwarded_wire_bytes_ = 0;
-  uint64_t forwarded_payload_bytes_ = 0;
-  uint64_t forwarded_packets_ = 0;
-  uint64_t dropped_writes_ = 0;
-  uint64_t dropped_payload_bytes_ = 0;
+  obs::Tally forwarded_wire_bytes_;
+  obs::Tally forwarded_payload_bytes_;
+  obs::Tally forwarded_packets_;
+  obs::Tally forwards_;
+  obs::Tally dropped_writes_;
+  obs::Tally dropped_payload_bytes_;
 
   // Observability (null until SetMetrics).
-  obs::Counter* m_wire_bytes_ = nullptr;
-  obs::Counter* m_payload_bytes_ = nullptr;
-  obs::Counter* m_packets_ = nullptr;
-  obs::Counter* m_forwards_ = nullptr;
-  obs::Counter* m_dropped_writes_ = nullptr;
-  obs::Counter* m_dropped_bytes_ = nullptr;
   obs::Gauge* m_link_busy_us_ = nullptr;
 };
 

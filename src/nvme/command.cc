@@ -28,6 +28,56 @@ uint64_t Get64(const uint8_t* in) {
 }
 }  // namespace
 
+namespace {
+Command AdminCmd(AdminOpcode opcode, uint32_t cdw10 = 0, uint32_t cdw11 = 0,
+                 uint32_t cdw12 = 0) {
+  Command cmd;
+  cmd.opcode = static_cast<uint8_t>(opcode);
+  cmd.cdw10 = cdw10;
+  cmd.cdw11 = cdw11;
+  cmd.cdw12 = cdw12;
+  return cmd;
+}
+}  // namespace
+
+Command SetRoleCmd(core::Role role, uint64_t mailbox_addr) {
+  return AdminCmd(AdminOpcode::kXssdSetRole, static_cast<uint32_t>(role),
+                  static_cast<uint32_t>(mailbox_addr),
+                  static_cast<uint32_t>(mailbox_addr >> 32));
+}
+
+Command AddPeerCmd(size_t peer, uint64_t window_addr) {
+  return AdminCmd(AdminOpcode::kXssdAddPeer, static_cast<uint32_t>(peer),
+                  static_cast<uint32_t>(window_addr),
+                  static_cast<uint32_t>(window_addr >> 32));
+}
+
+Command SetUpdatePeriodCmd(sim::SimTime period) {
+  return AdminCmd(AdminOpcode::kXssdSetUpdatePeriod,
+                  static_cast<uint32_t>(period));
+}
+
+Command SetReplicationCmd(core::ReplicationProtocol protocol) {
+  return AdminCmd(AdminOpcode::kXssdSetReplication,
+                  static_cast<uint32_t>(protocol));
+}
+
+Command ClearPeersCmd() { return AdminCmd(AdminOpcode::kXssdClearPeers); }
+
+Command SetTermCmd(uint64_t term, size_t writer_slot) {
+  return AdminCmd(AdminOpcode::kXssdSetTerm, static_cast<uint32_t>(term),
+                  static_cast<uint32_t>(writer_slot));
+}
+
+Command RemovePeerCmd(size_t slot) {
+  return AdminCmd(AdminOpcode::kXssdRemovePeer, static_cast<uint32_t>(slot));
+}
+
+Command TruncateCmd(uint64_t offset) {
+  return AdminCmd(AdminOpcode::kXssdTruncate, static_cast<uint32_t>(offset),
+                  static_cast<uint32_t>(offset >> 32));
+}
+
 void EncodeCommand(const Command& cmd, uint8_t out[kSqeBytes]) {
   std::memset(out, 0, kSqeBytes);
   out[0] = cmd.opcode;

@@ -5,6 +5,13 @@
 #include <cstring>
 #include <vector>
 
+#include "sim/time.h"
+
+namespace xssd::core {
+enum class Role : uint32_t;
+enum class ReplicationProtocol : uint32_t;
+}  // namespace xssd::core
+
 namespace xssd::nvme {
 
 /// NVM command set opcodes (I/O queue).
@@ -63,6 +70,17 @@ struct Command {
   uint32_t nlb0() const { return cdw12 & 0xFFFF; }
   void set_nlb(uint32_t blocks) { cdw12 = (blocks - 1) & 0xFFFF; }
 };
+
+// Builders for the X-SSD vendor admin commands (dword layout as documented
+// on AdminOpcode). Hosts and the HA supervisor configure devices with these.
+Command SetRoleCmd(core::Role role, uint64_t mailbox_addr);
+Command AddPeerCmd(size_t peer, uint64_t window_addr);
+Command SetUpdatePeriodCmd(sim::SimTime period);
+Command SetReplicationCmd(core::ReplicationProtocol protocol);
+Command ClearPeersCmd();
+Command SetTermCmd(uint64_t term, size_t writer_slot);
+Command RemovePeerCmd(size_t slot);
+Command TruncateCmd(uint64_t offset);
 
 inline constexpr size_t kSqeBytes = 64;
 inline constexpr size_t kCqeBytes = 16;

@@ -13,12 +13,15 @@ Controller::Controller(sim::Simulator* sim, pcie::PcieFabric* fabric,
 
 void Controller::SetMetrics(obs::MetricsRegistry* registry,
                             const std::string& prefix) {
-  m_doorbells_ = registry->GetCounter(prefix + "nvme.doorbells");
-  m_commands_ = registry->GetCounter(prefix + "nvme.commands");
-  m_completions_ = registry->GetCounter(prefix + "nvme.completions");
-  m_flushes_ = registry->GetCounter(prefix + "nvme.flushes");
-  m_writes_ = registry->GetCounter(prefix + "nvme.writes");
-  m_reads_ = registry->GetCounter(prefix + "nvme.reads");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(doorbells_, "nvme.doorbells");
+  publish(commands_, "nvme.commands");
+  publish(completions_, "nvme.completions");
+  publish(flushes_, "nvme.flushes");
+  publish(writes_, "nvme.writes");
+  publish(reads_, "nvme.reads");
   m_cmd_latency_us_ = registry->GetLatency(prefix + "nvme.cmd_latency_us");
 }
 
@@ -71,7 +74,7 @@ void Controller::OnDoorbell(uint16_t qid, uint32_t value) {
                        << qid;
     return;
   }
-  if (m_doorbells_) m_doorbells_->Add();
+  ++doorbells_;
   QueueState& q = queues_[qid];
   q.sq_tail_shadow = static_cast<uint16_t>(value % q.config.entries);
   FetchNext(qid);
@@ -96,7 +99,7 @@ void Controller::FetchNext(uint16_t qid) {
 }
 
 void Controller::Execute(uint16_t qid, const Command& cmd) {
-  if (m_commands_) m_commands_->Add();
+  ++commands_;
   sim::SimTime started_at = sim_->Now();
   auto done = [this, qid, started_at](Completion cpl) {
     if (m_cmd_latency_us_) {
@@ -131,7 +134,7 @@ void Controller::ExecuteIo(uint16_t qid, const Command& cmd,
   cpl.cid = cmd.cid;
   switch (static_cast<IoOpcode>(cmd.opcode)) {
     case IoOpcode::kFlush: {
-      if (m_flushes_) m_flushes_->Add();
+      ++flushes_;
       ftl_->Flush([cpl, done = std::move(done)](Status status) mutable {
         cpl.status =
             status.ok() ? CmdStatus::kSuccess : CmdStatus::kInternalError;
@@ -140,7 +143,7 @@ void Controller::ExecuteIo(uint16_t qid, const Command& cmd,
       return;
     }
     case IoOpcode::kWrite: {
-      if (m_writes_) m_writes_->Add();
+      ++writes_;
       uint64_t lba = cmd.slba();
       uint32_t blocks = cmd.nlb0() + 1;
       if (lba + blocks > namespace_blocks()) {
@@ -175,7 +178,7 @@ void Controller::ExecuteIo(uint16_t qid, const Command& cmd,
       return;
     }
     case IoOpcode::kRead: {
-      if (m_reads_) m_reads_->Add();
+      ++reads_;
       uint64_t lba = cmd.slba();
       uint32_t blocks = cmd.nlb0() + 1;
       if (lba + blocks > namespace_blocks()) {
@@ -252,7 +255,7 @@ void Controller::ExecuteAdmin(uint16_t qid, const Command& cmd,
 }
 
 void Controller::PostCompletion(uint16_t qid, Completion cpl) {
-  if (m_completions_) m_completions_->Add();
+  ++completions_;
   QueueState& q = queues_[qid];
   cpl.sq_id = qid;
   cpl.sq_head = q.sq_head;

@@ -121,13 +121,14 @@ class Controller : public pcie::MmioDevice {
   VendorHandler vendor_;
   uint32_t cc_ = 0;  // controller configuration register
 
-  // Observability (null until SetMetrics).
-  obs::Counter* m_doorbells_ = nullptr;
-  obs::Counter* m_commands_ = nullptr;
-  obs::Counter* m_completions_ = nullptr;
-  obs::Counter* m_flushes_ = nullptr;
-  obs::Counter* m_writes_ = nullptr;
-  obs::Counter* m_reads_ = nullptr;
+  // Observability: the tallies publish, and the recorder is set, by
+  // SetMetrics.
+  obs::Tally doorbells_;
+  obs::Tally commands_;
+  obs::Tally completions_;
+  obs::Tally flushes_;
+  obs::Tally writes_;
+  obs::Tally reads_;
   obs::LatencyRecorder* m_cmd_latency_us_ = nullptr;
 };
 

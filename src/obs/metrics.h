@@ -12,8 +12,8 @@ namespace xssd::obs {
 
 /// \brief Monotonically increasing event/byte count.
 ///
-/// Handed out by MetricsRegistry; components cache the pointer and bump it
-/// on the hot path (one add, no lookup).
+/// Handed out by MetricsRegistry; components publish a Tally into it once
+/// (Tally::PublishTo) and bump the tally on the hot path (no lookup).
 class Counter {
  public:
   void Add(uint64_t n = 1) { value_ += n; }
@@ -22,6 +22,49 @@ class Counter {
 
  private:
   uint64_t value_ = 0;
+};
+
+/// \brief A component's own count of one event, optionally published into
+/// a registry Counter.
+///
+/// Reads as the `uint64_t` it holds. `Add` bumps the local value and, once
+/// `PublishTo` has been called, the registry counter too; a publish forwards
+/// only later events, and several tallies may publish to one counter (it
+/// then sums them). A copy carries the value only, never the publication,
+/// so snapshots of a stats struct are plain numbers. `Reset` clears only
+/// the local value.
+class Tally {
+ public:
+  Tally() = default;
+  Tally(const Tally& other) : value_(other.value_) {}
+  /// Assigns the value only; this tally keeps its own publication.
+  Tally& operator=(const Tally& other) {
+    value_ = other.value_;
+    return *this;
+  }
+
+  void Add(uint64_t n = 1) {
+    value_ += n;
+    if (sink_ != nullptr) sink_->Add(n);
+  }
+  Tally& operator++() {
+    Add();
+    return *this;
+  }
+  Tally& operator+=(uint64_t n) {
+    Add(n);
+    return *this;
+  }
+
+  void PublishTo(Counter* counter) { sink_ = counter; }
+  void Reset() { value_ = 0; }
+
+  uint64_t value() const { return value_; }
+  operator uint64_t() const { return value_; }
+
+ private:
+  uint64_t value_ = 0;
+  Counter* sink_ = nullptr;
 };
 
 /// \brief Instantaneous level: queue depth, occupancy, credit position,

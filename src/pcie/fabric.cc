@@ -41,15 +41,14 @@ PcieFabric::PcieFabric(sim::Simulator* sim, FabricConfig config,
 
 void PcieFabric::SetMetrics(obs::MetricsRegistry* registry,
                             const std::string& prefix) {
-  m_host_write_bytes_ =
-      registry->GetCounter(prefix + "pcie.host_write_bytes");
-  m_peer_write_bytes_ =
-      registry->GetCounter(prefix + "pcie.peer_write_bytes");
-  m_host_read_bytes_ = registry->GetCounter(prefix + "pcie.host_read_bytes");
-  m_dma_to_host_bytes_ =
-      registry->GetCounter(prefix + "pcie.dma_to_host_bytes");
-  m_dma_from_host_bytes_ =
-      registry->GetCounter(prefix + "pcie.dma_from_host_bytes");
+  auto publish = [&](obs::Tally& tally, const char* name) {
+    tally.PublishTo(registry->GetCounter(prefix + name));
+  };
+  publish(host_write_bytes_, "pcie.host_write_bytes");
+  publish(peer_write_bytes_, "pcie.peer_write_bytes");
+  publish(host_read_bytes_, "pcie.host_read_bytes");
+  publish(dma_to_host_bytes_, "pcie.dma_to_host_bytes");
+  publish(dma_from_host_bytes_, "pcie.dma_from_host_bytes");
 }
 
 Status PcieFabric::AddMmioRegion(uint64_t base, uint64_t size,
@@ -117,14 +116,14 @@ void PcieFabric::RoutedWrite(sim::BandwidthServer& server, uint64_t addr,
 
 void PcieFabric::HostWrite(uint64_t addr, const uint8_t* data, size_t len,
                            uint32_t chunk, sim::Simulator::Callback posted) {
-  if (m_host_write_bytes_) m_host_write_bytes_->Add(len);
+  host_write_bytes_ += len;
   RoutedWrite(downstream_, addr, data, len, chunk, std::move(posted),
               /*peer_path=*/false);
 }
 
 void PcieFabric::PeerWrite(uint64_t addr, const uint8_t* data, size_t len,
                            uint32_t chunk, sim::Simulator::Callback posted) {
-  if (m_peer_write_bytes_) m_peer_write_bytes_->Add(len);
+  peer_write_bytes_ += len;
   RoutedWrite(peer_, addr, data, len, chunk, std::move(posted),
               /*peer_path=*/true);
 }
@@ -135,7 +134,7 @@ void PcieFabric::HostRead(uint64_t addr, size_t len,
   const Region* region = FindRegion(addr);
   XSSD_CHECK(region != nullptr);
   XSSD_CHECK(addr + len <= region->base + region->size);
-  if (m_host_read_bytes_) m_host_read_bytes_->Add(len);
+  host_read_bytes_ += len;
 
   // Request TLP downstream.
   sim::SimTime req_done = downstream_.Acquire(kTlpOverheadBytes);
@@ -163,7 +162,7 @@ void PcieFabric::DmaToHost(uint64_t host_addr, const uint8_t* data, size_t len,
                            sim::Simulator::Callback done) {
   CheckDomain();
   XSSD_CHECK(host_addr + len <= host_memory_size_);
-  if (m_dma_to_host_bytes_) m_dma_to_host_bytes_->Add(len);
+  dma_to_host_bytes_ += len;
   std::vector<uint8_t> copy(data, data + len);
   sim::SimTime link_done =
       upstream_.Acquire(WireBytesFor(len, kMaxPayloadBytes));
@@ -178,7 +177,7 @@ void PcieFabric::DmaFromHost(uint64_t host_addr, size_t len,
                              std::function<void(std::vector<uint8_t>)> done) {
   CheckDomain();
   XSSD_CHECK(host_addr + len <= host_memory_size_);
-  if (m_dma_from_host_bytes_) m_dma_from_host_bytes_->Add(len);
+  dma_from_host_bytes_ += len;
   // Read request downstream is negligible; charge memory port + upstream
   // completion stream.
   sim::SimTime mem_done = host_memory_port_.Acquire(len);

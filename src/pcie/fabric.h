@@ -204,12 +204,12 @@ class PcieFabric {
   std::unique_ptr<uint8_t[], FreeDeleter> host_memory_;
   uint64_t host_memory_size_;
 
-  // Observability (null until SetMetrics).
-  obs::Counter* m_host_write_bytes_ = nullptr;
-  obs::Counter* m_peer_write_bytes_ = nullptr;
-  obs::Counter* m_host_read_bytes_ = nullptr;
-  obs::Counter* m_dma_to_host_bytes_ = nullptr;
-  obs::Counter* m_dma_from_host_bytes_ = nullptr;
+  // Byte counts (published by SetMetrics).
+  obs::Tally host_write_bytes_;
+  obs::Tally peer_write_bytes_;
+  obs::Tally host_read_bytes_;
+  obs::Tally dma_to_host_bytes_;
+  obs::Tally dma_from_host_bytes_;
 };
 
 }  // namespace xssd::pcie

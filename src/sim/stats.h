@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/histogram.h"
@@ -14,16 +13,8 @@ namespace xssd::sim {
 /// \brief Sample recorder for latency-style measurements.
 ///
 /// Stores raw samples (nanoseconds or any unit) and answers min/max/mean and
-/// arbitrary percentiles. Used by every benchmark harness; the candlestick
+/// exact percentiles. Used by every benchmark harness; the candlestick
 /// summaries of Figure 13 come straight out of Percentile().
-///
-/// By default every sample is retained and percentiles are exact. For
-/// multi-million-sample campaigns, EnableBounded(cap) switches the recorder
-/// to a fixed-memory mode: once `cap` samples have been seen, the raw
-/// vector is spilled into a `Log2Histogram` and later samples go straight
-/// to the histogram. Min/max/count/mean stay exact in both modes;
-/// percentiles in bounded mode inherit the histogram's error bound (at most
-/// ~3.2% relative, see Log2Histogram), clamped to the exact [min, max].
 class LatencyRecorder {
  public:
   void Add(double sample) {
@@ -47,22 +38,7 @@ class LatencyRecorder {
       ++win_count_;
       win_hist_.Add(sample);
     }
-    if (overflowed_) {
-      hist_.Add(sample);
-      return;
-    }
     samples_.push_back(sample);
-    if (bounded_ && samples_.size() >= sample_cap_) SpillToHistogram();
-  }
-
-  /// Switch to bounded-memory mode: at most `sample_cap` raw samples are
-  /// held; beyond that the recorder degrades to log2-bucket percentiles.
-  /// Opt-in only — never enabled implicitly, so existing exact consumers
-  /// are unaffected.
-  void EnableBounded(size_t sample_cap) {
-    bounded_ = true;
-    sample_cap_ = std::max<size_t>(1, sample_cap);
-    if (samples_.size() >= sample_cap_) SpillToHistogram();
   }
 
   /// \brief One sampling window's view: everything Add()ed since the last
@@ -79,8 +55,8 @@ class LatencyRecorder {
   };
 
   /// Opt into per-window accumulation (the time-series sampler's view).
-  /// Orthogonal to bounded mode; costs one branch per Add() plus a
-  /// histogram insert while enabled. Never enabled implicitly.
+  /// Costs one branch per Add() plus a histogram insert while enabled.
+  /// Never enabled implicitly.
   void EnableWindowTracking() { windowed_ = true; }
   bool window_tracking() const { return windowed_; }
 
@@ -103,8 +79,6 @@ class LatencyRecorder {
 
   size_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
-  /// True once the raw samples have been spilled to histogram buckets.
-  bool bounded_overflow() const { return overflowed_; }
 
   double Min() const { return empty() ? 0 : min_; }
   double Max() const { return empty() ? 0 : max_; }
@@ -114,13 +88,9 @@ class LatencyRecorder {
     return sum_ / static_cast<double>(count_);
   }
 
-  /// Percentile, p in [0, 100]. Exact (interpolated nearest-rank) while the
-  /// raw samples are held; bucket-interpolated after a bounded-mode spill.
+  /// Percentile, p in [0, 100]: exact interpolated nearest-rank.
   double Percentile(double p) const {
     if (empty()) return 0;
-    if (overflowed_) {
-      return std::clamp(hist_.Percentile(p), min_, max_);
-    }
     EnsureSorted();
     double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
     size_t lo = static_cast<size_t>(rank);
@@ -140,8 +110,6 @@ class LatencyRecorder {
 
   void Clear() {
     samples_.clear();
-    hist_.Clear();
-    overflowed_ = false;
     count_ = 0;
     sum_ = 0;
     min_ = 0;
@@ -163,14 +131,6 @@ class LatencyRecorder {
     }
   }
 
-  void SpillToHistogram() {
-    for (double s : samples_) hist_.Add(s);
-    samples_.clear();
-    samples_.shrink_to_fit();
-    overflowed_ = true;
-    ++version_;
-  }
-
   void ClearWindow() {
     win_hist_.Clear();
     win_count_ = 0;
@@ -190,31 +150,10 @@ class LatencyRecorder {
   double win_min_ = 0;
   double win_max_ = 0;
 
-  bool bounded_ = false;
-  bool overflowed_ = false;
-  size_t sample_cap_ = 0;
-  Log2Histogram hist_;
   uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-/// \brief Event counter with rate helper.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
-  /// Events (or bytes) per second over a virtual-time interval.
-  double RatePerSec(SimTime interval) const {
-    if (interval == 0) return 0;
-    return static_cast<double>(value_) / ToSec(interval);
-  }
-
- private:
-  uint64_t value_ = 0;
 };
 
 }  // namespace xssd::sim

@@ -187,6 +187,7 @@ TEST(VillarsDeviceRebootTest, PendingTimerAndRetryBackoffOfOldModuleAreInert) {
   ASSERT_TRUE(sim.RunWhile(
       [&]() { return node.device().destage().stats().write_retries > 0; }));
   ASSERT_EQ(node.device().destage().stats().pages_written, 0u);
+  ASSERT_EQ(node.device().destage().stats().write_failures, 1u);
   // Both closures are pending at the reboot: the 10 ms timer and the
   // 50 us backoff.
   ASSERT_LT(sim.Now(), sim::Ms(10));

@@ -51,12 +51,15 @@ size_t AppendUntil(host::StorageNode& node, const std::vector<uint8_t>& stream,
                    sim::Rng& rng, const std::function<bool()>& stop) {
   auto submitted = std::make_shared<size_t>(0);
   auto append_next = std::make_shared<std::function<void()>>();
-  *append_next = [&node, &stream, &rng, submitted, append_next]() {
+  // The closure holds itself weakly: only an outstanding append's callback
+  // keeps it alive, so it is freed once the chain stops.
+  *append_next = [&node, &stream, &rng, submitted,
+                  weak = std::weak_ptr<std::function<void()>>(append_next)]() {
     size_t chunk = std::min<size_t>(32 + rng.Uniform(700),
                                     stream.size() - *submitted);
     if (chunk == 0) return;
     node.client().Append(stream.data() + *submitted, chunk,
-                         [append_next](Status) { (*append_next)(); });
+                         [next = weak.lock()](Status) { (*next)(); });
     *submitted += chunk;
   };
   (*append_next)();

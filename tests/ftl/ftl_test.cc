@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
+#include "fault/fault_injector.h"
 #include "sim/random.h"
 
 namespace xssd::ftl {
@@ -203,6 +205,64 @@ TEST_F(FtlTest, GcReclaimsSpaceUnderChurn) {
   // count can legitimately undercut host writes; GC relocations push it
   // back up. It must at least be positive and finite.
   EXPECT_GT(ftl_.stats().WriteAmplification(), 0.0);
+}
+
+// A collect's continuation must not keep itself alive: once the collect
+// ends — completed or cut short by power loss — everything its `done`
+// captured is freed.
+class FtlCollectLeakTest : public FtlTest {
+ protected:
+  /// Write enough direct pages to seal blocks; returns a sealed block.
+  uint64_t SealedBlock() {
+    for (uint64_t lpn = 0; lpn < 128; ++lpn) {
+      ftl_.WriteDirect(IoClass::kConventional, lpn, Page(0x5A),
+                       [](Status) {});
+    }
+    sim_.Run();
+    EXPECT_FALSE(ftl_.allocator().sealed_blocks().empty());
+    return ftl_.allocator().sealed_blocks().front();
+  }
+
+  /// Start a refresh whose callback holds the only owner of a sentinel.
+  void StartRefresh(uint64_t block) {
+    auto sentinel = std::make_shared<int>(0);
+    watch_ = sentinel;
+    ASSERT_TRUE(ftl_.RefreshBlock(
+        block, [this, sentinel = std::move(sentinel)](Status status) {
+          result_ = status;
+        }));
+  }
+
+  std::weak_ptr<int> watch_;
+  Status result_ = Status::Internal("pending");
+};
+
+TEST_F(FtlCollectLeakTest, RefreshFreesItsCallbackWhenTheCollectCompletes) {
+  StartRefresh(SealedBlock());
+  sim_.Run();
+  EXPECT_TRUE(result_.ok()) << result_.ToString();
+  EXPECT_EQ(ftl_.stats().refresh_erases, 1u);
+  EXPECT_TRUE(watch_.expired());
+}
+
+TEST_F(FtlCollectLeakTest, RefreshFreesItsCallbackAfterPowerCutMidCollect) {
+  fault::FaultPlan plan;
+  fault::FaultSpec cut;
+  cut.kind = fault::FaultKind::kCrash;
+  cut.site = "power_cut";
+  plan.faults.push_back(cut);
+  fault::FaultInjector injector(&sim_, plan, 1);
+  ftl_.SetFaultInjector(&injector);
+
+  StartRefresh(SealedBlock());
+  sim_.RunFor(sim::Us(200));  // some relocations done, more to go
+  ASSERT_GT(ftl_.stats().refresh_relocations, 0u);
+  ASSERT_EQ(ftl_.stats().refresh_erases, 0u);
+  ASSERT_TRUE(injector.CrashPoint("power_cut"));
+  sim_.Run();
+  EXPECT_EQ(result_.code(), StatusCode::kAborted) << result_.ToString();
+  EXPECT_EQ(ftl_.stats().refresh_erases, 0u);
+  EXPECT_TRUE(watch_.expired());
 }
 
 TEST(FtlBadBlocks, ProgramFailuresAreRetriedTransparently) {

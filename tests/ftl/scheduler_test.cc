@@ -119,7 +119,8 @@ TEST_F(SchedulerTest, OpportunisticGapFilling) {
 }
 
 TEST_F(SchedulerTest, QueuedCountsTrack) {
-  QueueProgram(IoClass::kConventional, 0, 0, 0, new std::vector<int>, 0);
+  std::vector<int> order;
+  QueueProgram(IoClass::kConventional, 0, 0, 0, &order, 0);
   EXPECT_EQ(scheduler_.queued(IoClass::kConventional) +
                 scheduler_.inflight(),
             1u);

@@ -10,6 +10,77 @@
 namespace xssd::obs {
 namespace {
 
+TEST(Tally, CountsLocallyBeforeAnyPublish) {
+  Tally tally;
+  tally.Add();
+  ++tally;
+  tally += 5;
+  EXPECT_EQ(tally.value(), 7u);
+  const uint64_t read = tally;  // reads as the number it holds
+  EXPECT_EQ(read, 7u);
+}
+
+TEST(Tally, PublishForwardsOnlyLaterAdds) {
+  MetricsRegistry registry;
+  Tally tally;
+  tally.Add(4);
+  tally.PublishTo(registry.GetCounter("ftl.host_writes"));
+  EXPECT_EQ(registry.FindCounter("ftl.host_writes")->value(), 0u);
+  tally.Add(3);
+  EXPECT_EQ(tally.value(), 7u);
+  EXPECT_EQ(registry.FindCounter("ftl.host_writes")->value(), 3u);
+}
+
+TEST(Tally, TalliesPublishedToOneNameSum) {
+  MetricsRegistry registry;
+  Tally first;
+  Tally second;
+  first.PublishTo(registry.GetCounter("flash.programs"));
+  second.PublishTo(registry.GetCounter("flash.programs"));
+  first.Add(2);
+  second.Add(5);
+  EXPECT_EQ(first.value(), 2u);
+  EXPECT_EQ(second.value(), 5u);
+  EXPECT_EQ(registry.FindCounter("flash.programs")->value(), 7u);
+}
+
+TEST(Tally, CopyCarriesTheValueButNotThePublication) {
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("ntb.forwards");
+  Tally published;
+  published.PublishTo(counter);
+  published.Add(2);
+
+  Tally copy = published;
+  EXPECT_EQ(copy.value(), 2u);
+  copy.Add(10);
+  EXPECT_EQ(counter->value(), 2u);
+  EXPECT_EQ(published.value(), 2u);
+
+  // Assignment copies the value into the target and keeps the target's
+  // own publication.
+  Tally target;
+  target.PublishTo(registry.GetCounter("ntb.packets"));
+  target = copy;
+  EXPECT_EQ(target.value(), 12u);
+  target.Add(1);
+  EXPECT_EQ(registry.FindCounter("ntb.packets")->value(), 1u);
+  EXPECT_EQ(counter->value(), 2u);
+}
+
+TEST(Tally, ResetClearsOnlyTheLocalValue) {
+  MetricsRegistry registry;
+  Tally tally;
+  tally.PublishTo(registry.GetCounter("ntb.wire_bytes"));
+  tally.Add(9);
+  tally.Reset();
+  EXPECT_EQ(tally.value(), 0u);
+  EXPECT_EQ(registry.FindCounter("ntb.wire_bytes")->value(), 9u);
+  tally.Add(1);
+  EXPECT_EQ(tally.value(), 1u);
+  EXPECT_EQ(registry.FindCounter("ntb.wire_bytes")->value(), 10u);
+}
+
 TEST(MetricsRegistry, FindBeforeRegisterReturnsNull) {
   MetricsRegistry registry;
   EXPECT_EQ(registry.FindCounter("cmb.append_bytes"), nullptr);

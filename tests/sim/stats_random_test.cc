@@ -107,11 +107,46 @@ TEST(LatencyRecorder, CandlestickOrdering) {
   EXPECT_LE(candle.p75, candle.max);
 }
 
-TEST(Counter, RatePerSec) {
-  Counter counter;
-  counter.Add(500);
-  EXPECT_DOUBLE_EQ(counter.RatePerSec(Ms(500)), 1000.0);
-  EXPECT_EQ(counter.RatePerSec(0), 0.0);
+TEST(LatencyRecorder, PercentilesAreExactInterpolatedNearestRank) {
+  LatencyRecorder recorder;
+  for (int i = 1; i <= 99; ++i) recorder.Add(static_cast<double>(i));
+  EXPECT_DOUBLE_EQ(recorder.Percentile(50), 50.0);
+  EXPECT_DOUBLE_EQ(recorder.Percentile(25), 25.5);
+}
+
+// Window percentiles come from a Log2Histogram: ≤ ~3.2% relative error
+// per sample, so interpolation across a dense sample set stays within ~2×
+// that, always clamped into the window's exact range.
+TEST(LatencyRecorder, WindowPercentilesStayWithinTheDocumentedBound) {
+  LatencyRecorder recorder;
+  recorder.EnableWindowTracking();
+  Rng rng(42);
+  for (int i = 0; i < 20000; ++i) {
+    recorder.Add(1.0 + static_cast<double>(rng.Uniform(1 << 22)));
+  }
+  LatencyRecorder::WindowStats window = recorder.TakeWindow();
+  EXPECT_EQ(window.count, recorder.count());
+  EXPECT_EQ(window.min, recorder.Min());
+  EXPECT_EQ(window.max, recorder.Max());
+  EXPECT_NEAR(window.p50, recorder.Percentile(50),
+              recorder.Percentile(50) * 0.065);
+  EXPECT_NEAR(window.p99, recorder.Percentile(99),
+              recorder.Percentile(99) * 0.065);
+  EXPECT_NEAR(window.p999, recorder.Percentile(99.9),
+              recorder.Percentile(99.9) * 0.065);
+}
+
+// Log2Histogram stores values below 32 exactly, so a window over a tiny
+// discrete domain loses nothing.
+TEST(LatencyRecorder, WindowSmallIntegerSamplesAreExactInTheHistogram) {
+  LatencyRecorder recorder;
+  recorder.EnableWindowTracking();
+  for (double s : {3, 3, 3, 5, 5, 9, 9, 9, 9, 31}) recorder.Add(s);
+  LatencyRecorder::WindowStats window = recorder.TakeWindow();
+  EXPECT_EQ(window.min, 3.0);
+  EXPECT_EQ(window.max, 31.0);
+  EXPECT_NEAR(window.p50, 7.0, 2.01);
+  EXPECT_LE(window.p999, 31.0);
 }
 
 TEST(Rng, DeterministicFromSeed) {
